@@ -70,8 +70,7 @@ def cmd_violate(args) -> int:
         raise ValueError(f"alpha must lie in [0, 1], got {args.alpha}")
     restarts = _restarts(args)
     cfg = SeesawConfig(restarts=restarts, base_seed=args.seed)
-    res = multi_restart_max(ineq, isotropic_state(args.d, args.alpha), cfg,
-                            threads=args.threads)
+    res = multi_restart_max(ineq, isotropic_state(args.d, args.alpha), cfg)
     significant = res.best_violation > SIGNIFICANCE
     print("violation\tsignificant\tconverged\titers\trestart_index")
     print(f"{res.best_violation:.12g}\t{'yes' if significant else 'no'}\t"
@@ -97,8 +96,7 @@ def cmd_threshold(args) -> int:
     ineq = _resolve_ineq(args.ineq)
     restarts = _restarts(args)
     cfg = SearchConfig(bracket_tol=args.tol,
-                       seesaw=SeesawConfig(restarts=restarts, base_seed=args.seed),
-                       threads=args.threads)
+                       seesaw=SeesawConfig(restarts=restarts, base_seed=args.seed))
     est = alpha_max(ineq, args.d, cfg)
     witness_v = est.witness.best_violation if est.witness else float("nan")
     print("alpha_upper\talpha_lower\tsteps\twitness_violation\tno_violation")
@@ -184,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="see-saw restarts (default 200)")
         p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for restarts; output is identical for any value")
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--paper-scale", action="store_true",
                        help="use 1000 restarts per step")
         p.add_argument("--paper-scale-long", action="store_true",

@@ -513,8 +513,8 @@ def are_equivalent(a: BellInequality, b: BellInequality):
     permutation and outcome flips; returns (flag, witness transform or None),
     where the witness maps ``a`` onto ``b`` exactly.
     """
-    ca, ta = _canonical_with_transform(a)
-    cb, tb = _canonical_with_transform(b)
+    ca, ta = _canonical_with_transform(a, True)
+    cb, tb = _canonical_with_transform(b, True)
     if ca != cb:
         return False, None
     witness = tb.inverse().compose(ta)

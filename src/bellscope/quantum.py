@@ -267,47 +267,58 @@ def parse_measurements(text: str, party_a_count: Optional[int] = None,
 
     Records are ``effect <A|B> <index> <proj|complement|zero|identity>``;
     proj and complement are followed by one line of 2d reals giving the
-    vector, which is renormalized on load.
+    vector, which is renormalized on load.  Errors start with ``line N:``.
     """
-    lines = [l for l in (raw.strip() for raw in text.splitlines())
-             if l and not l.startswith("#")]
-    raw_records = []  # (party, index, kind, vector or None)
+    numbered = [(no, line) for no, line in enumerate(
+        (raw.strip() for raw in text.splitlines()), start=1)
+        if line and not line.startswith("#")]
+    last = max(1, len(text.splitlines()))  # named by errors about the whole file
+
+    raw_records = []  # (line number, party, index, kind, vector or None)
     pos = 0
-    while pos < len(lines):
-        tokens = lines[pos].split()
+    while pos < len(numbered):
+        no, line = numbered[pos]
+        tokens = line.split()
         if len(tokens) != 4 or tokens[0] != "effect":
-            raise ValueError(f"expected 'effect <A|B> <index> <kind>', got {lines[pos]!r}")
+            raise ValueError(f"line {no}: expected 'effect <A|B> <index> <kind>', got {line!r}")
         _, party, index_s, kind = tokens
         if party not in (PARTY_A, PARTY_B):
-            raise ValueError(f"unknown party {party!r}")
-        index = int(index_s)
+            raise ValueError(f"line {no}: unknown party {party!r}")
+        try:
+            index = int(index_s)
+        except ValueError:
+            raise ValueError(f"line {no}: effect index {index_s!r} is not an integer") from None
         pos += 1
         if kind in ("proj", "complement"):
-            if pos >= len(lines):
-                raise ValueError(f"missing vector line for effect {party} {index}")
-            vals = [float(t) for t in lines[pos].split()]
+            if pos >= len(numbered) or numbered[pos][1].startswith("effect"):
+                raise ValueError(f"line {no}: missing vector line for effect {party} {index}")
+            vno, vline = numbered[pos]
             pos += 1
+            try:
+                vals = [float(t) for t in vline.split()]
+            except ValueError as exc:
+                raise ValueError(f"line {vno}: bad number in vector line ({exc})") from None
             if len(vals) % 2 != 0:
-                raise ValueError("vector line must hold re/im pairs")
+                raise ValueError(f"line {vno}: vector line must hold re/im pairs")
             vec = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
             norm = np.linalg.norm(vec)
-            if norm < 1e-9:
-                raise ValueError(f"effect {party} {index}: vector norm too small")
-            raw_records.append((party, index, kind, vec / norm))
+            if not 1e-9 <= norm < np.inf:
+                raise ValueError(f"line {vno}: vector norm too small or not finite")
+            raw_records.append((no, party, index, kind, vec / norm))
         elif kind in ("zero", "identity"):
-            raw_records.append((party, index, kind, None))
+            raw_records.append((no, party, index, kind, None))
         else:
-            raise ValueError(f"unknown effect kind {kind!r}")
+            raise ValueError(f"line {no}: unknown effect kind {kind!r}")
 
-    dims = {vec.size for _, _, _, vec in raw_records if vec is not None}
-    if len(dims) > 1:
-        raise ValueError(f"inconsistent vector dimensions {sorted(dims)}")
-    if not dims:
-        raise ValueError("no vector records; cannot infer the dimension")
-    d = dims.pop()
+    sizes = [vec.size for *_, vec in raw_records if vec is not None]
+    if not sizes:
+        raise ValueError(f"line {last}: no vector records; cannot infer the dimension")
+    d = sizes[0]
 
-    records: dict[str, dict[int, Effect]] = {PARTY_A: {}, PARTY_B: {}}
-    for party, index, kind, vec in raw_records:
+    records: dict[str, dict[int, tuple[int, Effect]]] = {PARTY_A: {}, PARTY_B: {}}
+    for no, party, index, kind, vec in raw_records:
+        if vec is not None and vec.size != d:
+            raise ValueError(f"line {no}: vector dimension {vec.size} differs from {d}")
         if kind == "zero":
             op = np.zeros((d, d))
         elif kind == "identity":
@@ -317,20 +328,21 @@ def parse_measurements(text: str, party_a_count: Optional[int] = None,
             if kind == "complement":
                 op = np.eye(d) - op
         if index in records[party]:
-            raise ValueError(f"duplicate effect {party} {index}")
-        records[party][index] = Effect(d, op)
+            raise ValueError(f"line {no}: duplicate effect {party} {index}")
+        records[party][index] = (no, Effect(d, op))
 
     sets = []
     for party, expected in ((PARTY_A, party_a_count), (PARTY_B, party_b_count)):
         got = records[party]
         if not got:
-            raise ValueError(f"no effects for party {party}")
+            raise ValueError(f"line {last}: no effects for party {party}")
         m = max(got)
+        no = got[m][0]
         if sorted(got) != list(range(1, m + 1)):
-            raise ValueError(f"party {party} effect indices must be 1..{m} without gaps")
+            raise ValueError(f"line {no}: party {party} effect indices must be 1..{m} without gaps")
         if expected is not None and m != expected:
-            raise ValueError(f"party {party}: expected {expected} effects, found {m}")
-        sets.append(MeasurementSet(party, tuple(got[i] for i in range(1, m + 1))))
+            raise ValueError(f"line {no}: party {party}: expected {expected} effects, found {m}")
+        sets.append(MeasurementSet(party, tuple(got[i][1] for i in range(1, m + 1))))
     return sets[0], sets[1]
 
 

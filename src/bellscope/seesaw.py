@@ -8,7 +8,6 @@ for the global one.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,6 +19,9 @@ from .quantum import DensityMatrix, Effect, MeasurementSet
 # Eigenvalues at or below this are treated as non-positive when building the
 # optimal projector; excluding the nullspace keeps effects projective.
 EIG_CUTOFF = 1e-14
+
+# Restarts run in chunks of 1, 2, 4, ... up to this size; restart 0 runs alone.
+MAX_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -53,80 +55,94 @@ class SeesawResult:
     converged: bool
 
 
-def _positive_projector(g: np.ndarray) -> np.ndarray:
-    g = (g + g.conj().T) / 2
-    evals, evecs = np.linalg.eigh(g)
-    cols = evecs[:, evals > EIG_CUTOFF]
-    if cols.shape[1] == 0:
-        return np.zeros_like(g)
-    return cols @ cols.conj().T
+def _project(ops: np.ndarray) -> np.ndarray:
+    """Projectors onto the strictly positive eigenspaces of a stack of
+    Hermitian matrices, built by masking eigenvectors."""
+    evals, evecs = np.linalg.eigh((ops + ops.conj().swapaxes(-1, -2)) / 2)
+    evecs = evecs * (evals > EIG_CUTOFF)[..., None, :]
+    return evecs @ evecs.conj().swapaxes(-1, -2)
 
 
 class _Engine:
-    """Array-level core shared by the public entry points."""
+    """Batched see-saw kernel for one inequality and state.  Effects come as
+    stacks ``(..., m, d, d)`` whose leading axes index restarts; no value
+    depends on how many restarts share a stack."""
 
     def __init__(self, ineq: BellInequality, rho: DensityMatrix):
-        self.ineq = ineq
-        self.d = rho.d
-        self.rho4 = rho.op.reshape(self.d, self.d, self.d, self.d)
-        self.marg_a = np.asarray(ineq.marg_a, dtype=float)
-        self.marg_b = np.asarray(ineq.marg_b, dtype=float)
-        self.joint = np.asarray(ineq.joint, dtype=float)
-        self.eye = np.eye(self.d)
+        d, n = rho.d, rho.d * rho.d
+        rho4 = rho.op.reshape(d, d, d, d)
+        # vec(tr_B[rho (I x Y)]) = part_a @ vec(Y); vec(tr_A[rho (X x I)]) = part_b @ vec(X).
+        part_a = rho4.transpose(0, 2, 3, 1).reshape(n, n)
+        part_b = rho4.transpose(1, 3, 2, 0).reshape(n, n)
+        joint = np.asarray(ineq.joint, dtype=float)
+        eye = np.eye(d).reshape(n)
+        # Alice's setting i: marg_a[i] rho_A + sum_j joint[i, j] tr_B[rho (I x F_j)], one matmul.
+        self.maps = {
+            PARTY_A: (np.einsum("ij,pq->jqip", joint, part_a).reshape(ineq.m_b * n, -1),
+                      np.outer(ineq.marg_a, part_a @ eye).reshape(-1, d, d)),
+            PARTY_B: (np.einsum("ij,pq->iqjp", joint, part_b).reshape(ineq.m_a * n, -1),
+                      np.outer(ineq.marg_b, part_b @ eye).reshape(-1, d, d)),
+        }
+        self.bound = ineq.bound
 
-    def step_a(self, fs: np.ndarray) -> np.ndarray:
-        """Optimal Alice effects given Bob's; fs has shape (m_b, d, d)."""
-        ys = self.marg_a[:, None, None] * self.eye + np.einsum("ij,jkl->ikl", self.joint, fs)
-        gs = np.einsum("ajbk,ikj->iab", self.rho4, ys)
-        return np.stack([_positive_projector(g) for g in gs])
+    def operators(self, party: str, others: np.ndarray) -> np.ndarray:
+        """Per setting, the operator whose positive projector is ``party``'s
+        optimal effect given the other party's effects."""
+        to, off = self.maps[party]
+        lead = others.shape[:-3]
+        return (others.reshape(*lead, 1, -1) @ to).reshape(*lead, *off.shape) + off
 
-    def step_b(self, es: np.ndarray) -> np.ndarray:
-        xs = self.marg_b[:, None, None] * self.eye + np.einsum("ij,ikl->jkl", self.joint, es)
-        hs = np.einsum("ajck,mca->mjk", self.rho4, xs)
-        return np.stack([_positive_projector(h) for h in hs])
-
-    def objective(self, es: np.ndarray, fs: np.ndarray) -> float:
-        xs = self.marg_b[:, None, None] * self.eye + np.einsum("ij,ikl->jkl", self.joint, es)
-        hs = np.einsum("ajck,mca->mjk", self.rho4, xs)
-        q_a = np.einsum("ajbj,iba->i", self.rho4, es).real
-        total = np.einsum("mjk,mkj->", hs, fs).real + float(np.dot(self.marg_a, q_a))
-        return float(total) - self.ineq.bound
+    def objective(self, es: np.ndarray, fs: np.ndarray):
+        """Inequality value minus bound, sum_j tr(H_j F_j) + sum_i marg_a[i]
+        tr(rho_A E_i) - bound, for Hermitian effects; H_j is Bob's operator."""
+        hs, off_a = self.operators(PARTY_B, es), self.maps[PARTY_A][1]
+        return ((hs * fs.conj()).real.sum(axis=(-3, -2, -1))
+                + (off_a * es.conj()).real.sum(axis=(-3, -2, -1)) - self.bound)
 
     def run(self, es: np.ndarray, fs: np.ndarray, tol: float, max_iters: int):
-        """Alternate full A/B sweeps until the improvement drops below tol."""
-        value = self.objective(es, fs)
-        converged = False
-        iters = 0
-        for iters in range(1, max_iters + 1):
-            es = self.step_a(fs)
-            # Bob's half-step, reusing its matrices for the objective value.
-            xs = self.marg_b[:, None, None] * self.eye + np.einsum("ij,ikl->jkl", self.joint, es)
-            hs = np.einsum("ajck,mca->mjk", self.rho4, xs)
-            fs = np.stack([_positive_projector(h) for h in hs])
-            q_a = np.einsum("ajbj,iba->i", self.rho4, es).real
-            new_value = float(np.einsum("mjk,mkj->", hs, fs).real
-                              + np.dot(self.marg_a, q_a)) - self.ineq.bound
-            if new_value - value < tol:
-                value = max(value, new_value)
-                converged = True
+        """Alternate full A/B sweeps on (R, m, d, d) stacks, updated in place,
+        until each restart's improvement drops below tol; converged restarts
+        leave the stack.  Returns (es, fs, values, iters, converged)."""
+        values = self.objective(es, fs)
+        iters = np.zeros(len(values), dtype=int)
+        converged = np.zeros(len(values), dtype=bool)
+        active = np.arange(len(values))
+        for it in range(1, max_iters + 1):
+            e = _project(self.operators(PARTY_A, fs[active]))
+            f = _project(self.operators(PARTY_B, e))
+            new, old = self.objective(e, f), values[active]
+            done = new - old < tol
+            es[active], fs[active], iters[active] = e, f, it
+            values[active] = np.where(done, np.maximum(old, new), new)
+            converged[active] = done
+            active = active[~done]
+            if not active.size:
                 break
-            value = new_value
-        return es, fs, value, iters, converged
+        return es, fs, values, iters, converged
 
-    def random_init(self, m: int, rng: np.random.Generator,
-                    ranks: tuple[int, ...]) -> np.ndarray:
-        from .quantum import random_projective_measurement
 
-        ops = []
+def _initial(d: int, m: int, restarts: range, base_seed: int, step_key: tuple,
+             ranks: tuple[int, ...]) -> np.ndarray:
+    """Random projective starts, (R, m, d, d).  Restart i draws from
+    SeedSequence(base_seed, spawn_key=(*step_key, i)): per effect, its rank,
+    then the real and imaginary parts of a Gaussian d x rank matrix whose Q
+    factor spans a Haar-random subspace.  Only the QR runs batched."""
+    draws = []
+    for i in restarts:
+        rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(*step_key, i)))
         for _ in range(m):
             rank = int(ranks[rng.integers(len(ranks))])
-            ops.append(random_projective_measurement(self.d, rank, rng).op)
-        return np.stack(ops)
+            draws.append(rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank)))
+    ops = np.empty((len(draws), d, d), dtype=complex)
+    for rank in {g.shape[1] for g in draws}:
+        sel = [k for k, g in enumerate(draws) if g.shape[1] == rank]
+        q, _ = np.linalg.qr(np.stack([draws[k] for k in sel]))
+        ops[sel] = q @ q.conj().swapaxes(-1, -2)
+    return ops.reshape(len(restarts), m, d, d)
 
 
 def _package(party: str, ops: np.ndarray) -> MeasurementSet:
-    d = ops.shape[1]
-    return MeasurementSet(party, tuple(Effect(d, op) for op in ops))
+    return MeasurementSet(party, tuple(Effect(ops.shape[1], op) for op in ops))
 
 
 def optimize_party(ineq: BellInequality, rho: DensityMatrix, fixed: MeasurementSet,
@@ -135,16 +151,11 @@ def optimize_party(ineq: BellInequality, rho: DensityMatrix, fixed: MeasurementS
     the other party's measurements fixed."""
     if fixed.d != rho.d:
         raise ValueError("fixed measurements do not match the state dimension")
-    eng = _Engine(ineq, rho)
-    if party == PARTY_A:
-        if len(fixed) != ineq.m_b:
-            raise ValueError("fixed set must hold Bob's effects when optimizing Alice")
-        return _package(PARTY_A, eng.step_a(fixed.ops()))
-    if party == PARTY_B:
-        if len(fixed) != ineq.m_a:
-            raise ValueError("fixed set must hold Alice's effects when optimizing Bob")
-        return _package(PARTY_B, eng.step_b(fixed.ops()))
-    raise ValueError(f"party must be {PARTY_A!r} or {PARTY_B!r}")
+    if party not in (PARTY_A, PARTY_B):
+        raise ValueError(f"party must be {PARTY_A!r} or {PARTY_B!r}")
+    if len(fixed) != (ineq.m_b if party == PARTY_A else ineq.m_a):
+        raise ValueError(f"fixed set must hold the other party's effects when optimizing {party}")
+    return _package(party, _project(_Engine(ineq, rho).operators(party, fixed.ops())))
 
 
 def seesaw(ineq: BellInequality, rho: DensityMatrix, init_a: MeasurementSet,
@@ -154,25 +165,10 @@ def seesaw(ineq: BellInequality, rho: DensityMatrix, init_a: MeasurementSet,
         raise ValueError("initial measurement counts do not match the inequality")
     if init_a.d != rho.d or init_b.d != rho.d:
         raise ValueError("initial measurements do not match the state dimension")
-    eng = _Engine(ineq, rho)
-    es, fs, value, iters, converged = eng.run(init_a.ops(), init_b.ops(),
-                                              cfg.tol, cfg.max_iters)
-    return SeesawResult(value, _package(PARTY_A, es), _package(PARTY_B, fs),
-                        iters, 0, converged)
-
-
-def _run_restart(eng: _Engine, ineq: BellInequality, cfg: SeesawConfig,
-                 ranks: tuple[int, ...], index: int, step_key: tuple,
-                 warm_start) -> tuple:
-    if index == 0 and warm_start is not None:
-        es = warm_start[0].ops().copy()
-        fs = warm_start[1].ops().copy()
-    else:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.base_seed, spawn_key=(*step_key, index)))
-        es = eng.random_init(ineq.m_a, rng, ranks)
-        fs = eng.random_init(ineq.m_b, rng, ranks)
-    return eng.run(es, fs, cfg.tol, cfg.max_iters)
+    es, fs, values, iters, converged = _Engine(ineq, rho).run(
+        init_a.ops()[None], init_b.ops()[None], cfg.tol, cfg.max_iters)
+    return SeesawResult(float(values[0]), _package(PARTY_A, es[0]), _package(PARTY_B, fs[0]),
+                        int(iters[0]), 0, bool(converged[0]))
 
 
 def multi_restart_max(ineq: BellInequality, rho: DensityMatrix, cfg: SeesawConfig,
@@ -183,12 +179,13 @@ def multi_restart_max(ineq: BellInequality, rho: DensityMatrix, cfg: SeesawConfi
     """Best see-saw outcome over seeded restarts.
 
     Restart ``i`` draws its initial measurements from a generator seeded by
-    (base_seed, *step_key, i), so results do not depend on execution order or
-    thread count; ties keep the lowest restart index.  ``warm_start`` replaces
+    (base_seed, *step_key, i), so results do not depend on how restarts are
+    grouped; ties keep the lowest restart index.  ``warm_start`` replaces
     restart 0's random initialization.  When ``stop_at`` is given, restarts
     are abandoned (in index order) once the best violation exceeds it -- the
     best-so-far is still an exact see-saw local optimum, just not the best of
-    all ``cfg.restarts`` starts.
+    all ``cfg.restarts`` starts.  ``threads`` is accepted for compatibility
+    and has no effect.
     """
     eng = _Engine(ineq, rho)
     ranks = cfg.rank_policy or tuple(range(1, rho.d))
@@ -196,33 +193,23 @@ def multi_restart_max(ineq: BellInequality, rho: DensityMatrix, cfg: SeesawConfi
         raise ValueError(f"rank policy {ranks} invalid for d={rho.d}")
 
     best = None  # (violation, index, es, fs, iters, converged)
-
-    def consider(index, outcome):
-        nonlocal best
-        es, fs, value, iters, converged = outcome
-        if best is None or value > best[0]:
-            best = (value, index, es, fs, iters, converged)
-
-    if threads <= 1:
-        for i in range(cfg.restarts):
-            consider(i, _run_restart(eng, ineq, cfg, ranks, i, step_key, warm_start))
-            if stop_at is not None and best[0] > stop_at:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = False
-            for lo in range(0, cfg.restarts, threads):
-                if done:
-                    break
-                chunk = range(lo, min(lo + threads, cfg.restarts))
-                outcomes = list(pool.map(
-                    lambda i: _run_restart(eng, ineq, cfg, ranks, i, step_key, warm_start),
-                    chunk))
-                for i, outcome in zip(chunk, outcomes):
-                    consider(i, outcome)
-                    if stop_at is not None and best[0] > stop_at:
-                        done = True
-                        break
+    lo = 0
+    while lo < cfg.restarts:
+        chunk = range(lo, min(2 * lo + 1, lo + MAX_CHUNK, cfg.restarts))
+        if lo == 0 and warm_start is not None:
+            ops = np.concatenate([warm_start[0].ops(), warm_start[1].ops()])[None]
+        else:
+            ops = _initial(rho.d, ineq.m_a + ineq.m_b, chunk, cfg.base_seed, step_key, ranks)
+        es, fs, values, iters, converged = eng.run(ops[:, :ineq.m_a], ops[:, ineq.m_a:],
+                                                   cfg.tol, cfg.max_iters)
+        if stop_at is not None and (values > stop_at).any():  # nothing after the first hit counts
+            values = values[:np.argmax(values > stop_at) + 1]
+        k = int(np.argmax(values))
+        if best is None or values[k] > best[0]:
+            best = (float(values[k]), lo + k, es[k], fs[k], int(iters[k]), bool(converged[k]))
+        if stop_at is not None and best[0] > stop_at:
+            break
+        lo = chunk.stop
 
     value, index, es, fs, iters, converged = best
     return SeesawResult(value, _package(PARTY_A, es), _package(PARTY_B, fs),

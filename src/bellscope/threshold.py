@@ -15,7 +15,8 @@ SIGNIFICANCE = 1e-13
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bisection settings; the see-saw defaults are desk-scale (200 restarts)."""
+    """Bisection settings; the see-saw defaults are desk-scale (200 restarts).
+    ``threads`` is accepted for compatibility and has no effect."""
 
     bracket_tol: float = 1e-6
     significance: float = SIGNIFICANCE
@@ -62,7 +63,7 @@ def alpha_max(ineq: BellInequality, d: int, cfg: Optional[SearchConfig] = None) 
     def probe(alpha: float, step: int, warm) -> SeesawResult:
         return multi_restart_max(ineq, isotropic_state(d, alpha), cfg.seesaw,
                                  warm_start=warm, stop_at=cfg.significance,
-                                 step_key=(step,), threads=cfg.threads)
+                                 step_key=(step,))
 
     res = probe(1.0, 0, None)
     if res.best_violation <= cfg.significance:

@@ -206,6 +206,14 @@ def test_malformed_file_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_malformed_measurement_file_exits_3(capsys, tmp_path, by_name):
+    (tmp_path / "A5.cg").write_text(bs.serialize_cg(by_name("A5")))
+    (tmp_path / "A5.meas").write_text("effect A 1 proj\n0.5 0 zero 0 0 0\n")
+    code, _, err = run(capsys, "verify-appendix", "--catalog", str(tmp_path), "--name", "A5")
+    assert code == 3
+    assert "error: line 2:" in err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["violate", "--d", "3"])  # --ineq missing

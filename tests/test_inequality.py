@@ -224,6 +224,19 @@ def test_canonical_constant_on_random_orbit(catalog):
             assert bs.canonical_form(bs.apply_transform(ineq, t)) == canon
 
 
+def test_are_equivalent_reuses_cached_canonical_forms(by_name):
+    from bellscope.inequality import _canonical_with_transform
+
+    rng = np.random.default_rng(4242)
+    a56 = by_name("A56")
+    x, y = (bs.apply_transform(a56, random_transform(5, 5, rng)) for _ in range(2))
+    bs.canonical_form(x)
+    bs.canonical_form(y)
+    misses = _canonical_with_transform.cache_info().misses
+    assert bs.are_equivalent(x, y)[0]
+    assert _canonical_with_transform.cache_info().misses == misses
+
+
 def test_equivalent_chsh_switched(chsh, switched_chsh):
     flag, witness = bs.are_equivalent(chsh, switched_chsh)
     assert flag

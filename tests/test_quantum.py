@@ -408,3 +408,16 @@ def test_parse_measurements_rejects_duplicates():
            "effect B 1 proj\n1 0 0 0 0 0\n"
     with pytest.raises(ValueError, match="duplicate"):
         parse_measurements(text)
+
+
+@pytest.mark.parametrize("text, line, what", [
+    ("effect A 1 proj\n1 0 0 0\n# note\n\neffect B x proj\n1 0 0 0\n", 5, "index"),
+    ("effect A 1 proj\n1 0 0 0\neffect B 1 proj\n1 0 abc 0\n", 4, "number"),
+    ("# header\neffect A 1 proj\n1 0 0\n", 3, "re/im"),
+    ("effect A 1 proj\n1 0 0 0\n\neffect B 1 proj\neffect B 2 proj\n0 0 1 0\n", 4,
+     "missing vector"),
+    ("effect A 1 proj\n1 0 0 0\neffect B 1 complement\n", 3, "missing vector"),
+], ids=["bad-index", "bad-number", "odd-count", "vector-missing", "vector-missing-at-end"])
+def test_parse_measurements_errors_name_their_line(text, line, what):
+    with pytest.raises(ValueError, match=rf"^line {line}: .*{what}"):
+        parse_measurements(text)

@@ -5,7 +5,8 @@ import pytest
 
 import bellscope as bs
 from bellscope.quantum import Effect, MeasurementSet, random_projective_measurement
-from bellscope.seesaw import SeesawConfig, multi_restart_max, optimize_party, seesaw
+from bellscope.seesaw import (SeesawConfig, _Engine, _initial, multi_restart_max,
+                              optimize_party, seesaw)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -146,6 +147,60 @@ def test_restarts_one_equals_single_seeded_run(chsh):
     assert manual.best_violation == res.best_violation
 
 
+@pytest.mark.parametrize("name, alpha, seed", [("A5", 0.757, 5), ("I3322", 0.765, 1)])
+def test_stop_at_and_warm_start_match_replay(by_name, name, alpha, seed):
+    """Replaying restarts 0..k one at a time through seesaw() -- the warm start
+    as restart 0, then restart i from the documented seeded stream -- gives
+    the multi-restart result up to the first value above stop_at."""
+    ineq = by_name(name)
+    rho = bs.isotropic_state(3, alpha)
+    cfg = SeesawConfig(restarts=60, base_seed=seed)
+    start = multi_restart_max(ineq, rho, SeesawConfig(restarts=1, base_seed=seed + 100))
+    warm = (start.best_a, start.best_b)
+    res = multi_restart_max(ineq, rho, cfg, warm_start=warm, stop_at=1e-13, step_key=(2,))
+
+    ranks = (1, 2)
+    best = None
+    for i in range(cfg.restarts):
+        if i == 0:
+            a, b = warm
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, i)))
+            a, b = (MeasurementSet(party, tuple(
+                random_projective_measurement(3, int(ranks[rng.integers(len(ranks))]), rng)
+                for _ in range(m))) for party, m in (("A", ineq.m_a), ("B", ineq.m_b)))
+        run = seesaw(ineq, rho, a, b, cfg)
+        if best is None or run.best_violation > best[0]:
+            best = (run.best_violation, i, run.iters_used)
+        if best[0] > 1e-13:
+            break
+    assert best[1] > 0
+    assert (res.best_violation, res.restart_index, res.iters_used) == best
+
+
+@pytest.mark.parametrize("name, d, alpha", [
+    ("A27", 3, 0.74), ("A2_CHSH", 2, 0.7), ("A5", 3, 0.8), ("I4422_1", 3, 0.8)])
+def test_results_do_not_depend_on_chunk_size(by_name, name, d, alpha):
+    """The same seeded restarts run as one stack, one at a time and in chunks
+    of 7 agree bit for bit, including when masking leaves one restart."""
+    ineq = by_name(name)
+    eng = _Engine(ineq, bs.isotropic_state(d, alpha))
+    total = 22
+
+    def run(size):
+        parts = []
+        for lo in range(0, total, size):
+            ops = _initial(d, ineq.m_a + ineq.m_b, range(lo, min(lo + size, total)), 3, (1,),
+                           tuple(range(1, d)))
+            parts.append(eng.run(ops[:, :ineq.m_a], ops[:, ineq.m_a:], 1e-12, 500))
+        return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+    whole = run(total)
+    for size in (1, 7):
+        for got, want in zip(run(size), whole):
+            assert np.array_equal(got, want)
+
+
 def test_chsh_just_above_threshold_is_detected(chsh):
     # 0.7629742794 sits barely above the exact threshold 4/(3*sqrt(2)+1).
     rho = bs.isotropic_state(3, 0.7629742794)
@@ -214,8 +269,6 @@ def test_engine_agrees_with_violation_on_random_states(by_name):
         g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
         m = g @ g.conj().T
         return bs.DensityMatrix(d, m / m.trace())
-
-    from bellscope.seesaw import _Engine
 
     for name in ("A2_CHSH", "A8", "A27"):
         ineq = by_name(name)
