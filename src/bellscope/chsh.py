@@ -16,10 +16,6 @@ from .quantum import Effect, MeasurementSet
 
 SQRT2 = math.sqrt(2.0)
 
-# Violation of CHSH by the maximally mixed 3x3 state, constant over
-# measurements: -1/3 - 1/3 + 1/9 + 1/9 + 1/9 - 1/9.
-CHSH_D3_MIXED_VALUE = -4.0 / 9.0
-
 NORM_TOL = 1e-12
 
 

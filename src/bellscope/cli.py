@@ -28,9 +28,6 @@ from .quantum import dump_measurements, isotropic_state
 from .seesaw import SeesawConfig, multi_restart_max
 from .threshold import SIGNIFICANCE, SearchConfig, alpha_max
 
-PAPER_RESTARTS = 1000
-PAPER_RESTARTS_LONG = 50000
-
 
 def _resolve_ineq(source: str) -> BellInequality:
     """A catalog name/alias, or a path to an inequality file."""
@@ -53,23 +50,10 @@ def _manifest(command: str, started: float, **config):
         print(f"# manifest\t{key}\t{value}")
 
 
-def _restarts(args) -> int:
-    if args.restarts is not None:
-        return args.restarts
-    if getattr(args, "paper_scale_long", False):
-        return PAPER_RESTARTS_LONG
-    if getattr(args, "paper_scale", False):
-        return PAPER_RESTARTS
-    return 200
-
-
 def cmd_violate(args) -> int:
     started = time.time()
     ineq = _resolve_ineq(args.ineq)
-    if not 0.0 <= args.alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {args.alpha}")
-    restarts = _restarts(args)
-    cfg = SeesawConfig(restarts=restarts, base_seed=args.seed)
+    cfg = SeesawConfig(restarts=args.restarts, base_seed=args.seed)
     res = multi_restart_max(ineq, isotropic_state(args.d, args.alpha), cfg)
     significant = res.best_violation > SIGNIFICANCE
     print("violation\tsignificant\tconverged\titers\trestart_index")
@@ -86,17 +70,15 @@ def cmd_violate(args) -> int:
             dump_measurements(res.best_a, res.best_b), encoding="utf-8")
         print(f"measurements written to {args.dump_measurements}", file=sys.stderr)
     _manifest("violate", started, ineq=args.ineq, d=args.d, alpha=args.alpha,
-              restarts=restarts, seed=args.seed, significance=SIGNIFICANCE,
-              threads=args.threads)
+              restarts=args.restarts, seed=args.seed, significance=SIGNIFICANCE)
     return 0
 
 
 def cmd_threshold(args) -> int:
     started = time.time()
     ineq = _resolve_ineq(args.ineq)
-    restarts = _restarts(args)
     cfg = SearchConfig(bracket_tol=args.tol,
-                       seesaw=SeesawConfig(restarts=restarts, base_seed=args.seed))
+                       seesaw=SeesawConfig(restarts=args.restarts, base_seed=args.seed))
     est = alpha_max(ineq, args.d, cfg)
     witness_v = est.witness.best_violation if est.witness else float("nan")
     print("alpha_upper\talpha_lower\tsteps\twitness_violation\tno_violation")
@@ -107,9 +89,8 @@ def cmd_threshold(args) -> int:
     else:
         print(f"threshold upper bound {est.alpha_upper:.6f} "
               f"(bracket width {est.alpha_upper - est.alpha_lower:.2g})", file=sys.stderr)
-    _manifest("threshold", started, ineq=args.ineq, d=args.d, restarts=restarts,
-              seed=args.seed, bracket_tol=args.tol, significance=cfg.significance,
-              threads=args.threads)
+    _manifest("threshold", started, ineq=args.ineq, d=args.d, restarts=args.restarts,
+              seed=args.seed, bracket_tol=args.tol, significance=SIGNIFICANCE)
     return 0
 
 
@@ -178,15 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_stochastic_flags(p):
-        p.add_argument("--restarts", type=int, default=None,
-                       help="see-saw restarts (default 200)")
+        p.add_argument("--restarts", type=int, default=200,
+                       help="see-saw restarts (default 200; the paper used 1000)")
         p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
-        p.add_argument("--paper-scale", action="store_true",
-                       help="use 1000 restarts per step")
-        p.add_argument("--paper-scale-long", action="store_true",
-                       help="use 50000 restarts per step")
 
     p = sub.add_parser("violate", help="maximal violation of an inequality by an isotropic state")
     p.add_argument("--ineq", required=True, help="catalog name/alias or .cg file")

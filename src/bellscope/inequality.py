@@ -67,9 +67,6 @@ class BellInequality:
     def m_b(self) -> int:
         return len(self.marg_b)
 
-    def with_name(self, name: Optional[str]) -> "BellInequality":
-        return BellInequality(self.marg_a, self.marg_b, self.joint, self.bound, name)
-
     def transposed(self) -> "BellInequality":
         """The same inequality with the two parties exchanged."""
         joint_t = tuple(tuple(self.joint[i][j] for i in range(self.m_a)) for j in range(self.m_b))

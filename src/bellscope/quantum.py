@@ -168,14 +168,6 @@ def isotropic_state(d: int, alpha: float) -> DensityMatrix:
     return DensityMatrix(d, op)
 
 
-def partial_trace_a(op: np.ndarray, d: int) -> np.ndarray:
-    return op.reshape(d, d, d, d).trace(axis1=0, axis2=2)
-
-
-def partial_trace_b(op: np.ndarray, d: int) -> np.ndarray:
-    return op.reshape(d, d, d, d).trace(axis1=1, axis2=3)
-
-
 # ---------------------------------------------------------------------------
 # Correlations and violations
 

@@ -26,17 +26,12 @@ MAX_CHUNK = 256
 
 @dataclass(frozen=True)
 class SeesawConfig:
-    """Knobs for one multi-restart run.
-
-    ``rank_policy`` lists the admissible initial projector ranks (drawn
-    uniformly per effect); None means every rank 1..d-1.
-    """
+    """Knobs for one multi-restart run."""
 
     tol: float = 1e-12
     max_iters: int = 500
     restarts: int = 1000
     base_seed: int = 0
-    rank_policy: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -121,17 +116,17 @@ class _Engine:
         return es, fs, values, iters, converged
 
 
-def _initial(d: int, m: int, restarts: range, base_seed: int, step_key: tuple,
-             ranks: tuple[int, ...]) -> np.ndarray:
+def _initial(d: int, m: int, restarts: range, base_seed: int, step_key: tuple) -> np.ndarray:
     """Random projective starts, (R, m, d, d).  Restart i draws from
-    SeedSequence(base_seed, spawn_key=(*step_key, i)): per effect, its rank,
-    then the real and imaginary parts of a Gaussian d x rank matrix whose Q
-    factor spans a Haar-random subspace.  Only the QR runs batched."""
+    SeedSequence(base_seed, spawn_key=(*step_key, i)): per effect, its rank
+    uniformly from 1..d-1, then the real and imaginary parts of a Gaussian
+    d x rank matrix whose Q factor spans a Haar-random subspace.  Only the QR
+    runs batched."""
     draws = []
     for i in restarts:
         rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(*step_key, i)))
         for _ in range(m):
-            rank = int(ranks[rng.integers(len(ranks))])
+            rank = 1 + int(rng.integers(d - 1))
             draws.append(rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank)))
     ops = np.empty((len(draws), d, d), dtype=complex)
     for rank in {g.shape[1] for g in draws}:
@@ -139,6 +134,14 @@ def _initial(d: int, m: int, restarts: range, base_seed: int, step_key: tuple,
         q, _ = np.linalg.qr(np.stack([draws[k] for k in sel]))
         ops[sel] = q @ q.conj().swapaxes(-1, -2)
     return ops.reshape(len(restarts), m, d, d)
+
+
+def _check_initial(ineq: BellInequality, rho: DensityMatrix, init_a: MeasurementSet,
+                   init_b: MeasurementSet) -> None:
+    if len(init_a) != ineq.m_a or len(init_b) != ineq.m_b:
+        raise ValueError("initial measurement counts do not match the inequality")
+    if init_a.d != rho.d or init_b.d != rho.d:
+        raise ValueError("initial measurements do not match the state dimension")
 
 
 def _package(party: str, ops: np.ndarray) -> MeasurementSet:
@@ -161,10 +164,7 @@ def optimize_party(ineq: BellInequality, rho: DensityMatrix, fixed: MeasurementS
 def seesaw(ineq: BellInequality, rho: DensityMatrix, init_a: MeasurementSet,
            init_b: MeasurementSet, cfg: SeesawConfig) -> SeesawResult:
     """Alternating maximization from explicit initial measurements."""
-    if len(init_a) != ineq.m_a or len(init_b) != ineq.m_b:
-        raise ValueError("initial measurement counts do not match the inequality")
-    if init_a.d != rho.d or init_b.d != rho.d:
-        raise ValueError("initial measurements do not match the state dimension")
+    _check_initial(ineq, rho, init_a, init_b)
     es, fs, values, iters, converged = _Engine(ineq, rho).run(
         init_a.ops()[None], init_b.ops()[None], cfg.tol, cfg.max_iters)
     return SeesawResult(float(values[0]), _package(PARTY_A, es[0]), _package(PARTY_B, fs[0]),
@@ -174,24 +174,21 @@ def seesaw(ineq: BellInequality, rho: DensityMatrix, init_a: MeasurementSet,
 def multi_restart_max(ineq: BellInequality, rho: DensityMatrix, cfg: SeesawConfig,
                       warm_start: Optional[tuple[MeasurementSet, MeasurementSet]] = None,
                       stop_at: Optional[float] = None,
-                      step_key: tuple = (),
-                      threads: int = 1) -> SeesawResult:
+                      step_key: tuple = ()) -> SeesawResult:
     """Best see-saw outcome over seeded restarts.
 
     Restart ``i`` draws its initial measurements from a generator seeded by
     (base_seed, *step_key, i), so results do not depend on how restarts are
-    grouped; ties keep the lowest restart index.  ``warm_start`` replaces
-    restart 0's random initialization.  When ``stop_at`` is given, restarts
-    are abandoned (in index order) once the best violation exceeds it -- the
-    best-so-far is still an exact see-saw local optimum, just not the best of
-    all ``cfg.restarts`` starts.  ``threads`` is accepted for compatibility
-    and has no effect.
+    grouped; ties keep the lowest restart index.  ``warm_start``, Alice's set
+    then Bob's, replaces restart 0's random initialization and is checked
+    against the inequality and the state as in ``seesaw``.  When ``stop_at``
+    is given, restarts are abandoned (in index order) once the best violation
+    exceeds it -- the best-so-far is still an exact see-saw local optimum,
+    just not the best of all ``cfg.restarts`` starts.
     """
+    if warm_start is not None:
+        _check_initial(ineq, rho, *warm_start)
     eng = _Engine(ineq, rho)
-    ranks = cfg.rank_policy or tuple(range(1, rho.d))
-    if not all(1 <= r <= rho.d - 1 for r in ranks):
-        raise ValueError(f"rank policy {ranks} invalid for d={rho.d}")
-
     best = None  # (violation, index, es, fs, iters, converged)
     lo = 0
     while lo < cfg.restarts:
@@ -199,7 +196,7 @@ def multi_restart_max(ineq: BellInequality, rho: DensityMatrix, cfg: SeesawConfi
         if lo == 0 and warm_start is not None:
             ops = np.concatenate([warm_start[0].ops(), warm_start[1].ops()])[None]
         else:
-            ops = _initial(rho.d, ineq.m_a + ineq.m_b, chunk, cfg.base_seed, step_key, ranks)
+            ops = _initial(rho.d, ineq.m_a + ineq.m_b, chunk, cfg.base_seed, step_key)
         es, fs, values, iters, converged = eng.run(ops[:, :ineq.m_a], ops[:, ineq.m_a:],
                                                    cfg.tol, cfg.max_iters)
         if stop_at is not None and (values > stop_at).any():  # nothing after the first hit counts

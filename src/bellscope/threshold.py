@@ -15,20 +15,16 @@ SIGNIFICANCE = 1e-13
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bisection settings; the see-saw defaults are desk-scale (200 restarts).
-    ``threads`` is accepted for compatibility and has no effect."""
+    """Bisection settings: the bracket width at which to stop, and the see-saw
+    run at every probe (desk-scale by default, 200 restarts).  A probe counts
+    as a violation when its best value exceeds ``SIGNIFICANCE``."""
 
     bracket_tol: float = 1e-6
-    significance: float = SIGNIFICANCE
     seesaw: SeesawConfig = field(default_factory=lambda: SeesawConfig(restarts=200))
-    start_at_separability_bound: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.bracket_tol <= 0:
             raise ValueError("bracket_tol must be positive")
-        if self.significance <= 0:
-            raise ValueError("significance must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,21 +58,20 @@ def alpha_max(ineq: BellInequality, d: int, cfg: Optional[SearchConfig] = None) 
 
     def probe(alpha: float, step: int, warm) -> SeesawResult:
         return multi_restart_max(ineq, isotropic_state(d, alpha), cfg.seesaw,
-                                 warm_start=warm, stop_at=cfg.significance,
+                                 warm_start=warm, stop_at=SIGNIFICANCE,
                                  step_key=(step,))
 
     res = probe(1.0, 0, None)
-    if res.best_violation <= cfg.significance:
+    if res.best_violation <= SIGNIFICANCE:
         return AlphaEstimate(ineq.name, d, 1.0, 1.0, None, cfg, 1, no_violation=True)
 
-    lo = 1.0 / (d + 1) if cfg.start_at_separability_bound else 0.0
-    hi, witness = 1.0, res
+    lo, hi, witness = 0.0, 1.0, res
     steps = 1
     while hi - lo > cfg.bracket_tol:
         steps += 1
         mid = (lo + hi) / 2
         res = probe(mid, steps - 1, (witness.best_a, witness.best_b))
-        if res.best_violation > cfg.significance:
+        if res.best_violation > SIGNIFICANCE:
             hi, witness = mid, res
         else:
             lo = mid

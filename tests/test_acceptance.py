@@ -4,6 +4,7 @@ Criteria 1, 2, 4, 5 are deterministic and fast; criterion 3 runs the full
 stochastic threshold reproduction (fixed seeds, 200 restarts per bisection
 step) and dominates the suite's runtime.
 """
+import importlib
 import itertools
 
 import numpy as np
@@ -127,7 +128,7 @@ def test_criterion_5_xor_game_criterion(by_name):
     print("ACCEPTANCE 5 xor-game-criterion: PASS (exactly CHSH and A8)")
 
 
-def test_criterion_6_property_suites(by_name, chsh):
+def test_criterion_6_property_suites(by_name, chsh, monkeypatch):
     rng = np.random.default_rng(66)
     a5 = by_name("A5")
     rho = bs.isotropic_state(3, 0.8)
@@ -187,15 +188,19 @@ def test_criterion_6_property_suites(by_name, chsh):
             for k, p in enumerate(t.perm_b)))
         assert abs(bs.violation(moved, rho, new_a, new_b) - base) < 1e-10
 
-    # Thread-count invariance of the restart reduction.
+    # Batch-size invariance of the restart reduction.
     cfg = SeesawConfig(restarts=24, base_seed=77)
-    serial = multi_restart_max(a5, rho, cfg, threads=1)
-    threaded = multi_restart_max(a5, rho, cfg, threads=8)
-    assert serial.best_violation == threaded.best_violation
-    assert serial.restart_index == threaded.restart_index
+    batched = multi_restart_max(a5, rho, cfg)
+    # bellscope.seesaw names the re-exported function; patch the module.
+    monkeypatch.setattr(importlib.import_module("bellscope.seesaw"), "MAX_CHUNK", 1)
+    single = multi_restart_max(a5, rho, cfg)
+    assert batched.best_violation == single.best_violation
+    assert batched.restart_index == single.restart_index
+    assert np.array_equal(batched.best_a.ops(), single.best_a.ops())
+    assert np.array_equal(batched.best_b.ops(), single.best_b.ops())
 
     print("ACCEPTANCE 6 property-suites: PASS (monotonicity, Frechet, affinity, "
-          "covariance, thread determinism)")
+          "covariance, batch determinism)")
 
 
 def _random_sets_for(ineq, rng):

@@ -4,6 +4,7 @@ import pytest
 
 import bellscope as bs
 from bellscope.cli import main
+from bellscope.threshold import SIGNIFICANCE
 
 SQRT2 = np.sqrt(2.0)
 
@@ -58,12 +59,21 @@ def test_violate_byte_identical_given_seed(capsys):
     assert stable_lines(out1) == stable_lines(out2)
 
 
-def test_violate_threads_flag_identical_output(capsys):
-    base = ("violate", "--ineq", "CHSH", "--d", "3", "--alpha", "0.9",
-            "--restarts", "16", "--seed", "3")
-    _, out1, _ = run(capsys, *base, "--threads", "1")
-    _, out4, _ = run(capsys, *base, "--threads", "4")
-    assert data_lines(out1) == data_lines(out4)
+@pytest.mark.parametrize("argv, run_key", [
+    (("violate", "--ineq", "CHSH", "--d", "2", "--alpha", "0.9"), "alpha"),
+    (("threshold", "--ineq", "A1", "--d", "2", "--tol", "0.01"), "bracket_tol"),
+])
+def test_manifest_records_exactly_what_a_run_depends_on(capsys, argv, run_key):
+    code, out, _ = run(capsys, *argv, "--restarts", "7", "--seed", "4")
+    assert code == 0
+    rows = [l.split("\t")[1:] for l in out.splitlines() if l.startswith("# manifest\t")]
+    manifest = dict(rows)
+    assert len(manifest) == len(rows)
+    assert set(manifest) == {"command", run_key, "d", "ineq", "restarts", "seed",
+                             "significance", "version", "duration_s"}
+    assert manifest["command"] == argv[0]
+    assert (manifest["restarts"], manifest["seed"]) == ("7", "4")
+    assert float(manifest["significance"]) == SIGNIFICANCE
 
 
 def test_violate_dump_measurements(capsys, tmp_path):

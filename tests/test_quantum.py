@@ -9,8 +9,6 @@ from bellscope.quantum import (
     dump_measurements,
     hermitian_eig,
     parse_measurements,
-    partial_trace_a,
-    partial_trace_b,
 )
 
 from conftest import random_transform, random_unit_vector
@@ -200,12 +198,6 @@ def test_correlations_dimension_mismatch():
     b = MeasurementSet("B", (Effect(2, np.eye(2)),))
     with pytest.raises(ValueError, match="dimension"):
         bs.correlations(bs.isotropic_state(3, 0.5), a, b)
-
-
-def test_partial_traces():
-    rho = bs.isotropic_state(3, 0.8)
-    assert np.allclose(partial_trace_a(rho.op, 3), np.eye(3) / 3)
-    assert np.allclose(partial_trace_b(rho.op, 3), np.eye(3) / 3)
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,7 @@ def test_results_do_not_depend_on_chunk_size(by_name, name, d, alpha):
     def run(size):
         parts = []
         for lo in range(0, total, size):
-            ops = _initial(d, ineq.m_a + ineq.m_b, range(lo, min(lo + size, total)), 3, (1,),
-                           tuple(range(1, d)))
+            ops = _initial(d, ineq.m_a + ineq.m_b, range(lo, min(lo + size, total)), 3, (1,))
             parts.append(eng.run(ops[:, :ineq.m_a], ops[:, ineq.m_a:], 1e-12, 500))
         return [np.concatenate(arrays) for arrays in zip(*parts)]
 
@@ -224,17 +223,6 @@ def test_multi_restart_deterministic(chsh):
     assert r1.restart_index == r2.restart_index
 
 
-def test_multi_restart_thread_count_invariance(by_name):
-    ineq = by_name("A5")
-    cfg = SeesawConfig(restarts=24, base_seed=5)
-    rho = bs.isotropic_state(3, 0.8)
-    serial = multi_restart_max(ineq, rho, cfg, threads=1)
-    threaded = multi_restart_max(ineq, rho, cfg, threads=8)
-    assert serial.best_violation == threaded.best_violation
-    assert serial.restart_index == threaded.restart_index
-    assert np.array_equal(serial.best_a.ops(), threaded.best_a.ops())
-
-
 def test_result_effects_projective(by_name):
     res = multi_restart_max(by_name("A28"), bs.isotropic_state(3, 0.9),
                             SeesawConfig(restarts=10, base_seed=6))
@@ -249,6 +237,29 @@ def test_soundness_reevaluation(by_name):
     assert res.best_violation > 1e-13
     direct = bs.violation(ineq, rho, res.best_a, res.best_b)
     assert abs(direct - res.best_violation) < 1e-10
+
+
+def test_warm_start_sets_are_checked(by_name):
+    """A8 has 4 Alice and 5 Bob settings; a warm start with the parties
+    swapped is rejected as seesaw() rejects it."""
+    ineq = by_name("A8")
+    rho = bs.isotropic_state(3, 0.8)
+    res = multi_restart_max(ineq, rho, SeesawConfig(restarts=1, base_seed=1))
+    swapped = (res.best_b, res.best_a)
+    with pytest.raises(ValueError, match="counts"):
+        seesaw(ineq, rho, *swapped, SeesawConfig(restarts=1))
+    with pytest.raises(ValueError, match="counts"):
+        multi_restart_max(ineq, rho, SeesawConfig(restarts=2), warm_start=swapped)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "A56 includes CHSH, so it is violated at d=2 for every alpha above 1/sqrt(2); "
+    "rank-1-only random starts at d=2 never try the zero or identity effects "
+    "that the inclusion uses, and 200 restarts miss the violation"))
+def test_a56_d2_violated_above_chsh_threshold(by_name):
+    res = multi_restart_max(by_name("A56"), bs.isotropic_state(2, 0.73),
+                            SeesawConfig(restarts=200, base_seed=1))
+    assert res.best_violation > 1e-13
 
 
 def test_warm_start_replaces_restart_zero(chsh):

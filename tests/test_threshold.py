@@ -4,7 +4,7 @@ import pytest
 
 import bellscope as bs
 from bellscope.seesaw import SeesawConfig
-from bellscope.threshold import SearchConfig, alpha_max, bisection_steps
+from bellscope.threshold import SIGNIFICANCE, SearchConfig, alpha_max, bisection_steps
 
 SQRT2 = np.sqrt(2.0)
 
@@ -37,11 +37,11 @@ def test_bracket_invariants(chsh):
     est = alpha_max(chsh, 2, cfg)
     assert est.alpha_lower < est.alpha_upper
     assert est.alpha_upper - est.alpha_lower <= cfg.bracket_tol
-    assert est.witness.best_violation > cfg.significance
+    assert est.witness.best_violation > SIGNIFICANCE
     # The witness certifies the upper edge: alpha_upper is a true upper bound.
     direct = bs.violation(chsh, bs.isotropic_state(2, est.alpha_upper),
                           est.witness.best_a, est.witness.best_b)
-    assert direct > cfg.significance - 1e-10
+    assert direct > SIGNIFICANCE - 1e-10
 
 
 def test_step_count_matches_halvings(chsh):
@@ -65,13 +65,6 @@ def test_deterministic_runs(chsh):
     assert e1.alpha_upper == e2.alpha_upper
     assert e1.alpha_lower == e2.alpha_lower
     assert e1.witness.best_violation == e2.witness.best_violation
-
-
-def test_separability_warm_start_flag(chsh):
-    est = alpha_max(chsh, 2, quick_cfg(restarts=40, tol=1e-3, seed=8,
-                                       start_at_separability_bound=True))
-    assert est.alpha_lower >= 1 / 3  # never probes below 1/(d+1)
-    assert abs(est.alpha_upper - 1 / SQRT2) < 2e-3
 
 
 def test_dimension_guard(chsh):
