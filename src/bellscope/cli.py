@@ -159,8 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_stochastic_flags(p):
-        p.add_argument("--restarts", type=int, default=200,
-                       help="see-saw restarts (default 200; the paper used 1000)")
+        p.add_argument("--restarts", type=int, default=SeesawConfig.restarts,
+                       help=f"see-saw restarts (default {SeesawConfig.restarts}; "
+                            "the paper used 1000)")
         p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
 
     p = sub.add_parser("violate", help="maximal violation of an inequality by an isotropic state")

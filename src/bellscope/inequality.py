@@ -300,27 +300,32 @@ def apply_transform(ineq: BellInequality, t: Transform) -> BellInequality:
 # Classical bound and XOR-game form
 
 
+def _best_responses(x: BellInequality):
+    """Yield (sa, w, value) for each of Alice's outcome assignments, in
+    itertools.product order.  ``w[j]`` is the gain of Bob's outputting 1 on
+    setting j against sa, so his best response outputs 1 exactly where
+    w[j] > 0 (either outcome where w[j] == 0); ``value`` is the strategy's
+    value under that response.  Exact because Bob's settings decouple."""
+    for sa in itertools.product((False, True), repeat=x.m_a):
+        w = tuple(map(sum, zip(x.marg_b, *itertools.compress(x.joint, sa))))
+        value = sum(itertools.compress(x.marg_a, sa)) + sum(v for v in w if v > 0)
+        yield sa, w, value
+
+
 def classical_max(ineq: BellInequality) -> int:
     """Maximum over all deterministic local strategies (exact).
 
     Walks Alice's 2^m_a outcome assignments; Bob's best response is chosen
-    greedily per setting, which is exact because his settings decouple.
+    greedily per setting.  Flipping the outcomes of the settings on which a
+    deterministic strategy outputs 1 lowers the bound by exactly that
+    strategy's value, so ``canonical_form(ineq).bound`` is
+    ``ineq.bound - classical_max(ineq)``.
     """
     if ineq.m_a + ineq.m_b > MAX_ENUM_SETTINGS:
         raise ValueError(f"enumeration guard: m_a + m_b > {MAX_ENUM_SETTINGS}")
     # Iterate the smaller side for the exponential factor.
     x = ineq if ineq.m_a <= ineq.m_b else ineq.transposed()
-    best = None
-    for outcomes in itertools.product((0, 1), repeat=x.m_a):
-        base = sum(m for m, o in zip(x.marg_a, outcomes) if o)
-        total = base
-        for j in range(x.m_b):
-            w = x.marg_b[j] + sum(x.joint[i][j] for i in range(x.m_a) if outcomes[i])
-            if w > 0:
-                total += w
-        if best is None or total > best:
-            best = total
-    return best
+    return max(value for _, _, value in _best_responses(x))
 
 
 def xor_game_form(ineq: BellInequality) -> Optional[tuple[tuple[Fraction, ...], ...]]:
@@ -345,43 +350,34 @@ def xor_game_form(ineq: BellInequality) -> Optional[tuple[tuple[Fraction, ...], 
 # Canonical form, equivalence
 
 
-def _flip_tables(x: BellInequality):
-    """Per Bob-flip-subset row sums and totals used by the canonical scan."""
-    m_a, m_b = x.m_a, x.m_b
-    row_sums = []  # row_sums[sb][i] = sum of joint[i][j] over flipped j
-    sum_b = []
-    for sb in itertools.product((False, True), repeat=m_b):
-        row_sums.append(tuple(sum(x.joint[i][j] for j in range(m_b) if sb[j])
-                              for i in range(m_a)))
-        sum_b.append(sum(x.marg_b[j] for j in range(m_b) if sb[j]))
-    return row_sums, sum_b
-
-
 def _canonical_scan(x: BellInequality, outcome_flips: bool = True):
     """Minimal (bound, sorted marg_a, sorted marg_b) over all flip subsets,
     returning the flip subsets achieving it together with their value vectors.
     With ``outcome_flips`` off only the empty flip subset is visited.
+
+    The minimal bound is reached exactly on the optimal deterministic
+    strategies (see ``canonical_form``), where every flipped value is minus
+    an absolute value; Bob's response branches only where his weight is 0.
     """
     m_a, m_b = x.m_a, x.m_b
     if not outcome_flips:
         prefix = (x.bound, tuple(sorted(x.marg_a)), tuple(sorted(x.marg_b)))
         return prefix, [((False,) * m_a, (False,) * m_b, x.marg_a, x.marg_b)]
-    row_sums, sum_b = _flip_tables(x)
+    responses = list(_best_responses(x))
+    top = max(value for _, _, value in responses)
     best_prefix = None
     pool = []
-    b_subsets = list(itertools.product((False, True), repeat=m_b))
-    for sa in itertools.product((False, True), repeat=m_a):
-        sum_a = sum(x.marg_a[i] for i in range(m_a) if sa[i])
-        col_sum = tuple(sum(x.joint[i][j] for i in range(m_a) if sa[i]) for j in range(m_b))
-        for bi, sb in enumerate(b_subsets):
-            rs = row_sums[bi]
-            cross = sum(rs[i] for i in range(m_a) if sa[i])
-            bound = x.bound - sum_a - sum_b[bi] - cross
-            v_a = tuple((-(x.marg_a[i] + rs[i]) if sa[i] else x.marg_a[i] + rs[i])
-                        for i in range(m_a))
-            v_b = tuple((-(x.marg_b[j] + col_sum[j]) if sb[j] else x.marg_b[j] + col_sum[j])
-                        for j in range(m_b))
-            prefix = (bound, tuple(sorted(v_a)), tuple(sorted(v_b)))
+    for sa, w, value in responses:
+        if value != top:
+            continue
+        v_b = tuple(-abs(v) for v in w)
+        free = [j for j in range(m_b) if w[j] == 0]
+        for choice in itertools.product((False, True), repeat=len(free)):
+            picks = dict(zip(free, choice))
+            sb = tuple(picks.get(j, w[j] > 0) for j in range(m_b))
+            v_a = tuple(-abs(m + sum(itertools.compress(row, sb)))
+                        for m, row in zip(x.marg_a, x.joint))
+            prefix = (x.bound - top, tuple(sorted(v_a)), tuple(sorted(v_b)))
             if best_prefix is None or prefix < best_prefix:
                 best_prefix = prefix
                 pool = [(sa, sb, v_a, v_b)]
@@ -496,6 +492,10 @@ def _canonical_with_transform(ineq: BellInequality, outcome_flips: bool = True
 def canonical_form(ineq: BellInequality, outcome_flips: bool = True) -> BellInequality:
     """The lexicographically minimal equivalent form; constant on equivalence
     classes and idempotent.
+
+    Its bound is ``ineq.bound - classical_max(ineq)``: flipping the outcomes
+    on which a deterministic strategy outputs 1 lowers the bound by exactly
+    that strategy's value, so the minimizing flips are the optimal strategies.
 
     With ``outcome_flips=False`` the minimization runs over relabelings only
     (party exchange and setting permutations), the coarser identification
@@ -676,43 +676,12 @@ def inclusion_digraph(ineqs: Iterable[BellInequality]) -> list[tuple[str, str]]:
                 continue
             if includes(x, y)[0]:
                 arcs.add((x.name, y.name))
-    succ = {n: {b for (a, b) in arcs if a == n} for n in names}
-    if _has_cycle(names, succ):
+    # Inclusion is transitive, so arcs is its own closure: a cycle is a pair
+    # of opposite arcs, and an arc is implied when it factors through some c.
+    if any((b, a) in arcs for a, b in arcs):
         raise ValueError("inclusion relation contains equivalent inequalities (cycle)")
-    reduced = set(arcs)
-    for a, b in arcs:
-        for c in succ[a]:
-            if c != b and _reaches(c, b, succ):
-                reduced.discard((a, b))
-                break
-    return sorted(reduced)
-
-
-def _reaches(start: str, goal: str, succ) -> bool:
-    stack, seen = [start], {start}
-    while stack:
-        n = stack.pop()
-        if n == goal:
-            return True
-        for nxt in succ[n]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
-def _has_cycle(names, succ) -> bool:
-    state = {n: 0 for n in names}
-
-    def visit(n):
-        state[n] = 1
-        for nxt in succ[n]:
-            if state[nxt] == 1 or (state[nxt] == 0 and visit(nxt)):
-                return True
-        state[n] = 2
-        return False
-
-    return any(state[n] == 0 and visit(n) for n in names)
+    return sorted((a, b) for a, b in arcs
+                  if not any((a, c) in arcs and (c, b) in arcs for c in names))
 
 
 def dot_digraph(arcs: Iterable[tuple[str, str]]) -> str:

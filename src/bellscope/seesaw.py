@@ -30,7 +30,7 @@ class SeesawConfig:
 
     tol: float = 1e-12
     max_iters: int = 500
-    restarts: int = 1000
+    restarts: int = 200
     base_seed: int = 0
 
     def __post_init__(self):

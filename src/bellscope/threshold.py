@@ -16,11 +16,11 @@ SIGNIFICANCE = 1e-13
 @dataclass(frozen=True)
 class SearchConfig:
     """Bisection settings: the bracket width at which to stop, and the see-saw
-    run at every probe (desk-scale by default, 200 restarts).  A probe counts
+    run at every probe (``SeesawConfig`` defaults).  A probe counts
     as a violation when its best value exceeds ``SIGNIFICANCE``."""
 
     bracket_tol: float = 1e-6
-    seesaw: SeesawConfig = field(default_factory=lambda: SeesawConfig(restarts=200))
+    seesaw: SeesawConfig = field(default_factory=SeesawConfig)
 
     def __post_init__(self):
         if self.bracket_tol <= 0:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import bellscope as bs
-from bellscope.cli import main
+from bellscope.cli import build_parser, main
 from bellscope.threshold import SIGNIFICANCE
 
 SQRT2 = np.sqrt(2.0)
@@ -74,6 +74,14 @@ def test_manifest_records_exactly_what_a_run_depends_on(capsys, argv, run_key):
     assert manifest["command"] == argv[0]
     assert (manifest["restarts"], manifest["seed"]) == ("7", "4")
     assert float(manifest["significance"]) == SIGNIFICANCE
+
+
+def test_restart_default_is_shared():
+    default = bs.SeesawConfig().restarts
+    assert bs.SearchConfig().seesaw.restarts == default
+    for argv in (["violate", "--ineq", "CHSH", "--d", "2", "--alpha", "0.9"],
+                 ["threshold", "--ineq", "CHSH", "--d", "2"]):
+        assert build_parser().parse_args(argv).restarts == default
 
 
 def test_violate_dump_measurements(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Exact combinatorics: parsing, transforms, canonical forms, inclusion,
 classical bounds, XOR-game detection."""
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -224,6 +225,15 @@ def test_canonical_constant_on_random_orbit(catalog):
             assert bs.canonical_form(bs.apply_transform(ineq, t)) == canon
 
 
+def test_canonical_bound_is_bound_minus_classical_max(catalog):
+    rng = np.random.default_rng(12)
+    for entry in catalog:
+        ineq = entry.inequality
+        for x in [ineq] + [bs.apply_transform(ineq, random_transform(ineq.m_a, ineq.m_b, rng))
+                           for _ in range(5)]:
+            assert bs.canonical_form(x).bound == x.bound - bs.classical_max(x)
+
+
 def test_are_equivalent_reuses_cached_canonical_forms(by_name):
     from bellscope.inequality import _canonical_with_transform
 
@@ -356,20 +366,23 @@ def _all_transforms(m_a, m_b):
                         yield bs.Transform(swap, pa, pb, fa, fb)
 
 
-def _random_small_ineq(rng, m_a, m_b):
+def _random_small_ineq(rng, m_a, m_b, span=2):
     return bs.BellInequality(
-        tuple(int(v) for v in rng.integers(-2, 3, size=m_a)),
-        tuple(int(v) for v in rng.integers(-2, 3, size=m_b)),
-        tuple(tuple(int(v) for v in rng.integers(-2, 3, size=m_b)) for _ in range(m_a)),
-        int(rng.integers(-2, 3)))
+        tuple(int(v) for v in rng.integers(-span, span + 1, size=m_a)),
+        tuple(int(v) for v in rng.integers(-span, span + 1, size=m_b)),
+        tuple(tuple(int(v) for v in rng.integers(-span, span + 1, size=m_b))
+              for _ in range(m_a)),
+        int(rng.integers(-span, span + 1)))
 
 
 def test_canonical_form_against_group_enumeration():
-    """Oracle: the canonical form is the key-minimal element of the full orbit."""
+    """Oracle: the canonical form is the key-minimal element of the full orbit.
+    Coefficients from {-1, 0, 1} make many optimal strategies and zero weights,
+    so the scan's tie branches are exercised."""
     rng = np.random.default_rng(99)
-    for m_a, m_b in ((2, 2), (2, 3), (3, 3)):
+    for span, (m_a, m_b) in itertools.product((2, 1), ((2, 2), (2, 3), (3, 3))):
         for _ in range(8):
-            ineq = _random_small_ineq(rng, m_a, m_b)
+            ineq = _random_small_ineq(rng, m_a, m_b, span)
             orbit_min = min(bs.apply_transform(ineq, t).key()
                             for t in _all_transforms(m_a, m_b))
             if m_a != m_b:  # swap branch enumerated separately
@@ -519,6 +532,21 @@ def test_digraph_full_catalog_reduction(catalog):
            if a != b and bs.includes(ineqs[a], ineqs[b])[0]}
     closure = {(a, b) for a in ineqs for b in reachable(a)}
     assert closure == raw
+
+
+def test_digraph_needs_unique_names(chsh, i3322):
+    with pytest.raises(ValueError, match="uniquely named"):
+        bs.inclusion_digraph([chsh, i3322, chsh])
+    with pytest.raises(ValueError, match="uniquely named"):
+        bs.inclusion_digraph([i3322, dataclasses.replace(chsh, name=None)])
+
+
+def test_digraph_rejects_equivalent_entries(catalog, chsh, switched_chsh):
+    switched = dataclasses.replace(switched_chsh, name="CHSH_switched")
+    for entries in ([chsh, switched],
+                    [e.inequality for e in catalog] + [switched]):
+        with pytest.raises(ValueError, match="cycle"):
+            bs.inclusion_digraph(entries)
 
 
 def test_dot_output_format():
