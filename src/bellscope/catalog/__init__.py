@@ -16,7 +16,7 @@ from typing import Optional
 
 from ..chsh import alpha_max_chsh
 from ..inequality import BellInequality, load_cg
-from ..quantum import Crossing, MeasurementSet, alpha_crossing, load_measurements
+from ..quantum import MeasurementSet, alpha_crossing, load_measurements
 
 APPENDIX_NAMES = ("A28", "A27", "A5", "A56", "A8")
 
@@ -117,12 +117,14 @@ def find_entry(entries: list[CatalogEntry], key: str) -> CatalogEntry:
 def verify_appendix(name: str, directory=None) -> AppendixReport:
     """Rebuild the shipped measurements for one entry and locate the alpha
     where their violation curve crosses zero."""
-    entries = load_catalog(directory)
-    entry = find_entry(entries, name)
+    return _appendix_report(find_entry(load_catalog(directory), name))
+
+
+def _appendix_report(entry: CatalogEntry) -> AppendixReport:
     if entry.meas_path is None:
         raise KeyError(f"{entry.name} has no shipped measurement data")
     a, b = entry.measurements()
-    cr: Crossing = alpha_crossing(entry.inequality, a.d, a, b)
+    cr = alpha_crossing(entry.inequality, a.d, a, b)
     delta = abs(cr.alpha - entry.table_alpha_max) if entry.table_alpha_max is not None else None
     return AppendixReport(entry.name, cr.v0, cr.v1, cr.alpha, entry.table_alpha_max, delta)
 
@@ -143,12 +145,12 @@ def relevance_summary(directory=None) -> list[RelevanceRow]:
     a positive margin certifies relevance to CHSH at d=3.
     """
     chsh_alpha = alpha_max_chsh(3)
+    entries = load_catalog(directory)
     rows = []
     for name in APPENDIX_NAMES:
-        rep = verify_appendix(name, directory)
+        rep = _appendix_report(find_entry(entries, name))
         rows.append(RelevanceRow(rep.name, rep.crossing, rep.table_value,
                                  chsh_alpha - rep.crossing))
-    entries = load_catalog(directory)
     chsh = find_entry(entries, "CHSH")
     rows.append(RelevanceRow(chsh.name, chsh_alpha, chsh.table_alpha_max, 0.0))
     return rows

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequality import PARTY_A, PARTY_B
-from .quantum import Effect, MeasurementSet
+from .quantum import PROJECTIVE_TOL, ROUNDING_TOL, Effect, MeasurementSet
 
 SQRT2 = math.sqrt(2.0)
-
-NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +35,7 @@ class ProjectionVectors:
             v = np.asarray(getattr(self, name), dtype=complex).ravel()
             if not 1 <= v.size <= 3:
                 raise ValueError(f"{name} must have 1..3 components")
-            if np.linalg.norm(v) > 1 + NORM_TOL:
+            if np.linalg.norm(v) > 1 + ROUNDING_TOL:
                 raise ValueError(f"{name} has norm {np.linalg.norm(v):g} > 1")
             padded = np.zeros(3, dtype=complex)
             padded[:v.size] = v
@@ -115,7 +113,7 @@ def measurements_from_vectors(v: ProjectionVectors, d: int):
         full = np.zeros(d, dtype=complex)
         full[:3] = np.conj(vec) if conjugate else vec
         n = np.linalg.norm(full)
-        if abs(n - 1.0) > 1e-9:
+        if abs(n - 1.0) > PROJECTIVE_TOL:
             raise ValueError("projector construction needs unit vectors")
         return Effect(d, np.outer(full, full.conj()))
 

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .catalog import APPENDIX_NAMES, default_catalog_dir, find_entry, load_catalog, verify_appendix
+from .catalog import APPENDIX_NAMES, find_entry, load_catalog, verify_appendix
 from .inequality import (
     BellInequality,
     CgParseError,
@@ -119,9 +119,7 @@ def cmd_includes(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    directory = Path(args.catalog) if args.catalog else default_catalog_dir()
-    entries = load_catalog(directory)
-    arcs = inclusion_digraph([e.inequality for e in entries])
+    arcs = inclusion_digraph([e.inequality for e in load_catalog(args.catalog)])
     text = dot_digraph(arcs)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -176,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="binary search for the violation threshold alpha_max")
     p.add_argument("--ineq", required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-6, help="bracket tolerance (default 1e-6)")
+    p.add_argument("--tol", type=float, default=SearchConfig.bracket_tol,
+                   help=f"bracket tolerance (default {SearchConfig.bracket_tol:g})")
     add_stochastic_flags(p)
     p.set_defaults(func=cmd_threshold)
 

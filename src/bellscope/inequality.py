@@ -259,23 +259,32 @@ def load_cg(path) -> BellInequality:
 # Transform application
 
 
+def _flipped(x: BellInequality, sa: tuple[bool, ...], sb: tuple[bool, ...]) -> BellInequality:
+    """Outcomes exchanged on Alice's settings where ``sa`` is true and Bob's
+    where ``sb`` is true, in closed form: the bound falls by the value of the
+    strategy that outputs 1 exactly on those settings, each marginal absorbs
+    its row (column) of joint terms over the other party's flipped settings,
+    and a coefficient changes sign once per flipped setting it involves."""
+    w = tuple(map(sum, zip(x.marg_b, *itertools.compress(x.joint, sa))))
+    marg_a = tuple((-1 if f else 1) * (m + sum(itertools.compress(row, sb)))
+                   for f, m, row in zip(sa, x.marg_a, x.joint))
+    marg_b = tuple(-v if f else v for f, v in zip(sb, w))
+    joint = tuple(tuple(-v if fa ^ fb else v for fb, v in zip(sb, row))
+                  for fa, row in zip(sa, x.joint))
+    value = sum(itertools.compress(x.marg_a, sa)) + sum(itertools.compress(w, sb))
+    return BellInequality(marg_a, marg_b, joint, x.bound - value, x.name)
+
+
 def flip_outcome(ineq: BellInequality, party: str, setting: int) -> BellInequality:
     """Exchange the two outcomes of one measurement; ``setting`` is 1-based."""
-    if party == PARTY_A:
-        if not 1 <= setting <= ineq.m_a:
-            raise IndexError(f"Alice setting {setting} out of range 1..{ineq.m_a}")
-        k = setting - 1
-        marg_a = list(ineq.marg_a)
-        marg_b = [ineq.marg_b[j] + ineq.joint[k][j] for j in range(ineq.m_b)]
-        joint = [list(row) for row in ineq.joint]
-        joint[k] = [-v for v in joint[k]]
-        bound = ineq.bound - marg_a[k]
-        marg_a[k] = -marg_a[k]
-        return BellInequality(tuple(marg_a), tuple(marg_b), tuple(map(tuple, joint)), bound,
-                              ineq.name)
-    if party == PARTY_B:
-        return flip_outcome(ineq.transposed(), PARTY_A, setting).transposed()
-    raise ValueError(f"party must be {PARTY_A!r} or {PARTY_B!r}, got {party!r}")
+    if party not in (PARTY_A, PARTY_B):
+        raise ValueError(f"party must be {PARTY_A!r} or {PARTY_B!r}, got {party!r}")
+    who, m = ("Alice", ineq.m_a) if party == PARTY_A else ("Bob", ineq.m_b)
+    if not 1 <= setting <= m:
+        raise IndexError(f"{who} setting {setting} out of range 1..{m}")
+    flips = {PARTY_A: (False,) * ineq.m_a, PARTY_B: (False,) * ineq.m_b}
+    flips[party] = tuple(k == setting - 1 for k in range(m))
+    return _flipped(ineq, flips[PARTY_A], flips[PARTY_B])
 
 
 def apply_transform(ineq: BellInequality, t: Transform) -> BellInequality:
@@ -286,14 +295,8 @@ def apply_transform(ineq: BellInequality, t: Transform) -> BellInequality:
     marg_a = tuple(x.marg_a[p] for p in t.perm_a)
     marg_b = tuple(x.marg_b[p] for p in t.perm_b)
     joint = tuple(tuple(x.joint[pi][pj] for pj in t.perm_b) for pi in t.perm_a)
-    x = BellInequality(marg_a, marg_b, joint, x.bound, ineq.name)
-    for i, f in enumerate(t.flip_a):
-        if f:
-            x = flip_outcome(x, PARTY_A, i + 1)
-    for j, f in enumerate(t.flip_b):
-        if f:
-            x = flip_outcome(x, PARTY_B, j + 1)
-    return x
+    return _flipped(BellInequality(marg_a, marg_b, joint, x.bound, ineq.name),
+                    t.flip_a, t.flip_b)
 
 
 # ---------------------------------------------------------------------------

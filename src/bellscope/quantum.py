@@ -14,13 +14,15 @@ import numpy as np
 
 from .inequality import BellInequality, PARTY_A, PARTY_B
 
-HERMITIAN_TOL = 1e-12
-EIG_RANGE_TOL = 1e-10
-PROJECTIVE_TOL = 1e-9
-TRACE_TOL = 1e-12
-PSD_TOL = 1e-10
-IMAG_TOL = 1e-10
-FRECHET_TOL = 1e-10
+# Every floating-point tolerance of the package, all absolute.
+ROUNDING_TOL = 1e-12     # Hermiticity, unit trace, CHSH vector norm <= 1
+RANGE_TOL = 1e-10        # effect spectrum in [0, 1], state PSD, Frechet bounds, Im(probability)
+PROJECTIVE_TOL = 1e-9    # |E^2 - E| of a projective effect; unit CHSH vectors
+MIN_VECTOR_NORM = 1e-9   # shortest vector a .meas file may hold
+EIG_CUTOFF = 1e-14       # see-saw projectors keep eigenvalues above this
+SIGNIFICANCE = 1e-13     # a violation counts only above this
+SEESAW_TOL = 1e-12       # default see-saw convergence: least gain per sweep
+BRACKET_TOL = 1e-6       # default bisection bracket width
 
 
 def hermitian_eig(op: np.ndarray):
@@ -28,11 +30,17 @@ def hermitian_eig(op: np.ndarray):
     return np.linalg.eigh(op)
 
 
-def _check_hermitian(op: np.ndarray, what: str, tol: float = HERMITIAN_TOL):
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {op.shape}")
-    if np.abs(op - op.conj().T).max() > tol:
-        raise ValueError(f"{what} is not Hermitian within {tol:g}")
+def _hermitian_eigvals(obj, n: int, what: str, note: str = "") -> np.ndarray:
+    """Store ``obj.op`` as a read-only complex n x n matrix, checked
+    Hermitian, and return its ascending eigenvalues."""
+    op = np.asarray(obj.op, dtype=complex)
+    object.__setattr__(obj, "op", op)
+    if op.shape != (n, n):
+        raise ValueError(f"{what} must be {n}x{n}{note}, got {op.shape}")
+    if np.abs(op - op.conj().T).max() > ROUNDING_TOL:
+        raise ValueError(f"{what} is not Hermitian within {ROUNDING_TOL:g}")
+    op.flags.writeable = False
+    return np.linalg.eigvalsh(op)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,15 +51,9 @@ class Effect:
     op: np.ndarray
 
     def __post_init__(self):
-        op = np.asarray(self.op, dtype=complex)
-        object.__setattr__(self, "op", op)
-        if op.shape != (self.d, self.d):
-            raise ValueError(f"effect must be {self.d}x{self.d}, got {op.shape}")
-        _check_hermitian(op, "effect")
-        evals = np.linalg.eigvalsh(op)
-        if evals[0] < -EIG_RANGE_TOL or evals[-1] > 1 + EIG_RANGE_TOL:
+        evals = _hermitian_eigvals(self, self.d, "effect")
+        if evals[0] < -RANGE_TOL or evals[-1] > 1 + RANGE_TOL:
             raise ValueError(f"effect eigenvalues outside [0, 1]: [{evals[0]:g}, {evals[-1]:g}]")
-        op.flags.writeable = False
 
     def projection_defect(self) -> float:
         """max |E^2 - E|; at most ~1e-9 for projective effects."""
@@ -97,18 +99,12 @@ class DensityMatrix:
     op: np.ndarray
 
     def __post_init__(self):
-        op = np.asarray(self.op, dtype=complex)
-        object.__setattr__(self, "op", op)
-        n = self.d * self.d
-        if op.shape != (n, n):
-            raise ValueError(f"state must be {n}x{n} for d={self.d}, got {op.shape}")
-        _check_hermitian(op, "state")
-        tr = op.trace()
-        if abs(tr - 1) > TRACE_TOL:
+        evals = _hermitian_eigvals(self, self.d * self.d, "state", f" for d={self.d}")
+        tr = self.op.trace()
+        if abs(tr - 1) > ROUNDING_TOL:
             raise ValueError(f"state trace {tr} is not 1")
-        if np.linalg.eigvalsh(op)[0] < -PSD_TOL:
+        if evals[0] < -RANGE_TOL:
             raise ValueError("state is not positive semidefinite")
-        op.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +124,11 @@ class CorrelationVector:
         if p_ab.shape != (p_a.size, p_b.size):
             raise ValueError("p_ab shape must be (m_a, m_b)")
         for name, arr in (("p_a", p_a), ("p_b", p_b), ("p_ab", p_ab)):
-            if (arr < -FRECHET_TOL).any() or (arr > 1 + FRECHET_TOL).any():
+            if (arr < -RANGE_TOL).any() or (arr > 1 + RANGE_TOL).any():
                 raise ValueError(f"{name} entries must lie in [0, 1]")
         lo = np.maximum(0.0, p_a[:, None] + p_b[None, :] - 1.0)
         hi = np.minimum(p_a[:, None], p_b[None, :])
-        if (p_ab < lo - FRECHET_TOL).any() or (p_ab > hi + FRECHET_TOL).any():
+        if (p_ab < lo - RANGE_TOL).any() or (p_ab > hi + RANGE_TOL).any():
             raise ValueError("joint probabilities violate the Frechet bounds")
         for arr in (p_a, p_b, p_ab):
             arr.flags.writeable = False
@@ -184,8 +180,8 @@ def correlations(rho: DensityMatrix, a: MeasurementSet, b: MeasurementSet) -> Co
     q_b = np.einsum("ajak,mkj->m", rho4, fs)
     q_ab = np.einsum("ajbk,iba,mkj->im", rho4, es, fs)
     worst = max(np.abs(q_a.imag).max(), np.abs(q_b.imag).max(), np.abs(q_ab.imag).max())
-    if worst > IMAG_TOL:
-        raise ValueError(f"imaginary probability residue {worst:g} exceeds {IMAG_TOL:g}")
+    if worst > RANGE_TOL:
+        raise ValueError(f"imaginary probability residue {worst:g} exceeds {RANGE_TOL:g}")
     return CorrelationVector(q_a.real, q_b.real, q_ab.real)
 
 
@@ -294,7 +290,7 @@ def parse_measurements(text: str, party_a_count: Optional[int] = None,
                 raise ValueError(f"line {vno}: vector line must hold re/im pairs")
             vec = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
             norm = np.linalg.norm(vec)
-            if not 1e-9 <= norm < np.inf:
+            if not MIN_VECTOR_NORM <= norm < np.inf:
                 raise ValueError(f"line {vno}: vector norm too small or not finite")
             raw_records.append((no, party, index, kind, vec / norm))
         elif kind in ("zero", "identity"):

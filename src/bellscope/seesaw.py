@@ -14,11 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .inequality import BellInequality, PARTY_A, PARTY_B
-from .quantum import DensityMatrix, Effect, MeasurementSet
-
-# Eigenvalues at or below this are treated as non-positive when building the
-# optimal projector; excluding the nullspace keeps effects projective.
-EIG_CUTOFF = 1e-14
+from .quantum import EIG_CUTOFF, SEESAW_TOL, DensityMatrix, Effect, MeasurementSet
 
 # Restarts run in chunks of 1, 2, 4, ... up to this size; restart 0 runs alone.
 MAX_CHUNK = 256
@@ -28,14 +24,14 @@ MAX_CHUNK = 256
 class SeesawConfig:
     """Knobs for one multi-restart run."""
 
-    tol: float = 1e-12
+    tol: float = SEESAW_TOL
     max_iters: int = 500
     restarts: int = 200
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be at least 1")
 
@@ -52,7 +48,8 @@ class SeesawResult:
 
 def _project(ops: np.ndarray) -> np.ndarray:
     """Projectors onto the strictly positive eigenspaces of a stack of
-    Hermitian matrices, built by masking eigenvectors."""
+    Hermitian matrices, built by masking eigenvectors.  Eigenvalues at or
+    below EIG_CUTOFF count as non-positive, which keeps effects projective."""
     evals, evecs = np.linalg.eigh((ops + ops.conj().swapaxes(-1, -2)) / 2)
     evecs = evecs * (evals > EIG_CUTOFF)[..., None, :]
     return evecs @ evecs.conj().swapaxes(-1, -2)

@@ -6,11 +6,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .inequality import BellInequality
-from .quantum import isotropic_state
+from .quantum import BRACKET_TOL, SIGNIFICANCE, isotropic_state
 from .seesaw import SeesawConfig, SeesawResult, multi_restart_max
-
-# Violations at or below this level are numerical noise, not evidence.
-SIGNIFICANCE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -19,12 +16,12 @@ class SearchConfig:
     run at every probe (``SeesawConfig`` defaults).  A probe counts
     as a violation when its best value exceeds ``SIGNIFICANCE``."""
 
-    bracket_tol: float = 1e-6
+    bracket_tol: float = BRACKET_TOL
     seesaw: SeesawConfig = field(default_factory=SeesawConfig)
 
     def __post_init__(self):
-        if self.bracket_tol <= 0:
-            raise ValueError("bracket_tol must be positive")
+        if not 0 < self.bracket_tol < math.inf:
+            raise ValueError("bracket_tol must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,7 @@
 import pytest
 
 import bellscope as bs
+import bellscope.catalog as catalog_mod
 from bellscope.catalog import APPENDIX_NAMES, default_catalog_dir
 from bellscope.seesaw import SeesawConfig, seesaw
 
@@ -121,6 +122,18 @@ def test_relevance_summary():
         assert by_name[name].margin > 0
     assert by_name["A56"].margin == pytest.approx(0.00719, abs=5e-5)
     assert by_name["A2_CHSH"].margin == 0.0
+
+
+def test_relevance_summary_reads_the_catalog_once(monkeypatch):
+    load, calls = catalog_mod.load_catalog, []
+
+    def counting(directory=None):
+        calls.append(directory)
+        return load(directory)
+
+    monkeypatch.setattr(catalog_mod, "load_catalog", counting)
+    assert len(bs.relevance_summary()) == 6
+    assert calls == [None]
 
 
 def test_appendix_measurements_are_near_fixed_points(catalog):

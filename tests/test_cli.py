@@ -76,6 +76,19 @@ def test_manifest_records_exactly_what_a_run_depends_on(capsys, argv, run_key):
     assert float(manifest["significance"]) == SIGNIFICANCE
 
 
+def test_tol_default_is_shared():
+    argv = ["threshold", "--ineq", "CHSH", "--d", "2"]
+    assert build_parser().parse_args(argv).tol == bs.SearchConfig().bracket_tol
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_threshold_rejects_bad_tol(capsys, tol):
+    code, out, err = run(capsys, "threshold", "--ineq", "CHSH", "--d", "2", "--tol", tol)
+    assert code == 3
+    assert out == ""
+    assert "bracket_tol must be positive and finite" in err
+
+
 def test_restart_default_is_shared():
     default = bs.SeesawConfig().restarts
     assert bs.SearchConfig().seesaw.restarts == default

@@ -110,6 +110,36 @@ def test_flip_index_out_of_range(chsh):
         bs.flip_outcome(chsh, "B", 0)
 
 
+def test_flip_index_error_names_the_party(by_name):
+    a5 = by_name("A5")
+    with pytest.raises(IndexError, match=rf"^Bob setting 5 out of range 1..{a5.m_b}$"):
+        bs.flip_outcome(a5, "B", 5)
+    with pytest.raises(IndexError, match=rf"^Alice setting 0 out of range 1..{a5.m_a}$"):
+        bs.flip_outcome(a5, "A", 0)
+
+
+def test_flips_relabel_deterministic_strategies(catalog):
+    """Flipping outcomes maps the value of every deterministic strategy to
+    the value of the strategy with those outputs exchanged."""
+    def value(x, a, b):
+        return (sum(c * u for c, u in zip(x.marg_a, a)) + sum(c * v for c, v in zip(x.marg_b, b))
+                + sum(x.joint[i][j] * a[i] * b[j] for i in range(x.m_a) for j in range(x.m_b))
+                - x.bound)
+
+    rng = np.random.default_rng(17)
+    for entry in catalog:
+        x = entry.inequality
+        for _ in range(3):
+            fa = tuple(bool(v) for v in rng.integers(2, size=x.m_a))
+            fb = tuple(bool(v) for v in rng.integers(2, size=x.m_b))
+            t = bs.Transform(False, tuple(range(x.m_a)), tuple(range(x.m_b)), fa, fb)
+            y = bs.apply_transform(x, t)
+            for a in itertools.product((0, 1), repeat=x.m_a):
+                for b in itertools.product((0, 1), repeat=x.m_b):
+                    assert value(y, [u ^ f for u, f in zip(a, fa)],
+                                 [v ^ f for v, f in zip(b, fb)]) == value(x, a, b)
+
+
 # ---------------------------------------------------------------------------
 # Transforms
 

@@ -1,4 +1,8 @@
 """Operator arithmetic, isotropic states, trace-rule correlations, crossings."""
+import re
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -111,6 +115,40 @@ def test_density_matrix_rejects_bad_trace():
 def test_correlation_vector_rejects_frechet_violation():
     with pytest.raises(ValueError, match="Frechet"):
         bs.CorrelationVector(np.array([0.5]), np.array([0.5]), np.array([[0.9]]))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Effect(3, np.eye(2)), "effect must be 3x3, got (2, 2)"),
+    (lambda: Effect(2, np.ones((2, 2, 2))), "effect must be 2x2, got (2, 2, 2)"),
+    (lambda: Effect(2, np.triu(np.ones((2, 2)))), "effect is not Hermitian within 1e-12"),
+    (lambda: Effect(2, -np.eye(2)), "effect eigenvalues outside [0, 1]: [-1, -1]"),
+    (lambda: bs.DensityMatrix(2, np.eye(2)), "state must be 4x4 for d=2, got (2, 2)"),
+    (lambda: bs.DensityMatrix(2, np.triu(np.ones((4, 4)))), "state is not Hermitian within 1e-12"),
+    (lambda: bs.DensityMatrix(2, np.eye(4)), "state trace (4+0j) is not 1"),
+    (lambda: bs.DensityMatrix(2, np.diag([1.5, -0.5, 0, 0])), "state is not positive semidefinite"),
+])
+def test_operator_errors_keep_their_text(make, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        make()
+
+
+def test_tolerances_live_in_one_table():
+    """Every exponent-form literal in the package is a line of the single
+    block of ``NAME = value`` constants in quantum.py."""
+    src = Path(bs.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        with tokenize.open(path) as f:
+            for tok in tokenize.generate_tokens(f.readline):
+                if tok.type == tokenize.NUMBER and re.fullmatch(r"[\d_.]+[eE][-+]?[\d_]+j?",
+                                                                tok.string):
+                    found.append((path.relative_to(src).as_posix(), tok.start[0], tok.line))
+    assert found
+    assert {where for where, _, _ in found} == {"quantum.py"}, found
+    rows = [row for _, row, _ in found]
+    assert rows == list(range(rows[0], rows[0] + len(rows))), "the table must be one block"
+    for _, _, line in found:
+        assert re.match(r"[A-Z_]+ = \S+\s+# \S", line), line
 
 
 def test_hermitian_eig_residual():

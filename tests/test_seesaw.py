@@ -214,6 +214,12 @@ def test_a8_above_table_value_violates(by_name):
     assert res.best_violation > 1e-13
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
+def test_tol_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        SeesawConfig(tol=tol)
+
+
 def test_multi_restart_deterministic(chsh):
     cfg = SeesawConfig(restarts=20, base_seed=7)
     rho = bs.isotropic_state(3, 0.9)

@@ -67,6 +67,12 @@ def test_deterministic_runs(chsh):
     assert e1.witness.best_violation == e2.witness.best_violation
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
+def test_bracket_tol_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="bracket_tol must be positive and finite"):
+        SearchConfig(bracket_tol=tol)
+
+
 def test_dimension_guard(chsh):
     with pytest.raises(ValueError):
         alpha_max(chsh, 1, quick_cfg())
