@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .catalog import APPENDIX_NAMES, find_entry, load_catalog, verify_appendix
+from .catalog import APPENDIX_NAMES, _appendix_report, find_entry, load_catalog
 from .inequality import (
     BellInequality,
     CgParseError,
@@ -130,10 +130,10 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify_appendix(args) -> int:
-    names = [args.name] if args.name else list(APPENDIX_NAMES)
     print("name\tv0\tv1\tcrossing\ttable_value\tdelta")
-    for name in names:
-        rep = verify_appendix(name, args.catalog)
+    entries = load_catalog(args.catalog)
+    for name in [args.name] if args.name else APPENDIX_NAMES:
+        rep = _appendix_report(find_entry(entries, name))
         table = f"{rep.table_value:.10f}" if rep.table_value is not None else ""
         delta = f"{rep.delta:.3g}" if rep.delta is not None else ""
         print(f"{rep.name}\t{rep.v0:.9f}\t{rep.v1:.9f}\t{rep.crossing:.10f}\t{table}\t{delta}")

@@ -198,7 +198,7 @@ def parse_cg(text: str, name: Optional[str] = None) -> BellInequality:
             continue
         rows.append((lineno, stripped.split()))
     if not rows:
-        raise CgParseError("empty inequality file")
+        raise CgParseError("empty inequality file", max(1, len(text.splitlines())))
 
     lineno, header = rows[0]
     if len(header) != 4 or header[0] != "cg":

@@ -229,6 +229,21 @@ class Crossing:
         return self.v1 <= 0.0
 
 
+def _isotropic_endpoints(ineq: BellInequality, es: np.ndarray, fs: np.ndarray):
+    """Violations (v0, v1) at alpha = 0 and 1 of effect stacks (..., m, d, d).
+    Both reduced states are I/d, so tr(rho E x I) = tr E / d and tr(rho E x F)
+    = alpha sum_kl E_kl F_kl / d + (1 - alpha) tr E tr F / d^2.  Elementwise
+    sums, not einsum, give a pair the same bits alone as inside a stack."""
+    d = es.shape[-1]
+    q_a, q_b = (x.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1) / d for x in (es, fs))
+    overlap = (es[..., :, None, :, :] * fs[..., None, :, :, :]).real.sum(axis=(-2, -1)) / d
+    rest = (np.multiply(ineq.marg_a, q_a).sum(axis=-1)
+            + np.multiply(ineq.marg_b, q_b).sum(axis=-1) - ineq.bound)
+    joint = np.asarray(ineq.joint, dtype=float)
+    return (rest + (joint * q_a[..., :, None] * q_b[..., None, :]).sum(axis=(-2, -1)),
+            rest + (joint * overlap).sum(axis=(-2, -1)))
+
+
 def alpha_crossing(ineq: BellInequality, d: int, a: MeasurementSet,
                    b: MeasurementSet) -> Crossing:
     """Where the violation crosses zero along the isotropic family.
@@ -236,13 +251,15 @@ def alpha_crossing(ineq: BellInequality, d: int, a: MeasurementSet,
     For fixed measurements the violation is affine in alpha, so the crossing
     is alpha* = -v0 / (v1 - v0) from the endpoint values alone.
     """
-    v0 = violation(ineq, isotropic_state(d, 0.0), a, b)
-    v1 = violation(ineq, isotropic_state(d, 1.0), a, b)
+    if len(a) != ineq.m_a or len(b) != ineq.m_b:
+        raise ValueError("measurement counts do not match the inequality")
+    if a.d != d or b.d != d:
+        raise ValueError(f"measurement dimension does not match state dimension {d}")
+    v0, v1 = (float(v) for v in _isotropic_endpoints(ineq, a.ops(), b.ops()))
     if v1 == v0:
         raise ValueError("degenerate measurements: violation does not depend on alpha")
     raw = -v0 / (v1 - v0)
-    alpha = min(max(raw, 0.0), 1.0)
-    return Crossing(alpha, v0, v1, in_range=(0.0 <= raw <= 1.0))
+    return Crossing(min(max(raw, 0.0), 1.0), v0, v1, in_range=(0.0 <= raw <= 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +305,7 @@ def parse_measurements(text: str, party_a_count: Optional[int] = None,
                 raise ValueError(f"line {vno}: bad number in vector line ({exc})") from None
             if len(vals) % 2 != 0:
                 raise ValueError(f"line {vno}: vector line must hold re/im pairs")
-            vec = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
+            vec = np.array(vals).view(complex)  # re/im pairs, no arithmetic on inf
             norm = np.linalg.norm(vec)
             if not MIN_VECTOR_NORM <= norm < np.inf:
                 raise ValueError(f"line {vno}: vector norm too small or not finite")

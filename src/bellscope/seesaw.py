@@ -8,7 +8,7 @@ for the global one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -133,14 +133,6 @@ def _initial(d: int, m: int, restarts: range, base_seed: int, step_key: tuple) -
     return ops.reshape(len(restarts), m, d, d)
 
 
-def _check_initial(ineq: BellInequality, rho: DensityMatrix, init_a: MeasurementSet,
-                   init_b: MeasurementSet) -> None:
-    if len(init_a) != ineq.m_a or len(init_b) != ineq.m_b:
-        raise ValueError("initial measurement counts do not match the inequality")
-    if init_a.d != rho.d or init_b.d != rho.d:
-        raise ValueError("initial measurements do not match the state dimension")
-
-
 def _package(party: str, ops: np.ndarray) -> MeasurementSet:
     return MeasurementSet(party, tuple(Effect(ops.shape[1], op) for op in ops))
 
@@ -160,12 +152,8 @@ def optimize_party(ineq: BellInequality, rho: DensityMatrix, fixed: MeasurementS
 
 def seesaw(ineq: BellInequality, rho: DensityMatrix, init_a: MeasurementSet,
            init_b: MeasurementSet, cfg: SeesawConfig) -> SeesawResult:
-    """Alternating maximization from explicit initial measurements."""
-    _check_initial(ineq, rho, init_a, init_b)
-    es, fs, values, iters, converged = _Engine(ineq, rho).run(
-        init_a.ops()[None], init_b.ops()[None], cfg.tol, cfg.max_iters)
-    return SeesawResult(float(values[0]), _package(PARTY_A, es[0]), _package(PARTY_B, fs[0]),
-                        int(iters[0]), 0, bool(converged[0]))
+    """See-saw from explicit initial measurements: one warm-started restart."""
+    return multi_restart_max(ineq, rho, replace(cfg, restarts=1), warm_start=(init_a, init_b))
 
 
 def multi_restart_max(ineq: BellInequality, rho: DensityMatrix, cfg: SeesawConfig,
@@ -178,20 +166,24 @@ def multi_restart_max(ineq: BellInequality, rho: DensityMatrix, cfg: SeesawConfi
     (base_seed, *step_key, i), so results do not depend on how restarts are
     grouped; ties keep the lowest restart index.  ``warm_start``, Alice's set
     then Bob's, replaces restart 0's random initialization and is checked
-    against the inequality and the state as in ``seesaw``.  When ``stop_at``
-    is given, restarts are abandoned (in index order) once the best violation
-    exceeds it -- the best-so-far is still an exact see-saw local optimum,
-    just not the best of all ``cfg.restarts`` starts.
+    against the inequality and the state.  When ``stop_at`` is given,
+    restarts are abandoned (in index order) once the best violation exceeds
+    it -- the best-so-far is still an exact see-saw local optimum, just not
+    the best of all ``cfg.restarts`` starts.
     """
     if warm_start is not None:
-        _check_initial(ineq, rho, *warm_start)
+        init_a, init_b = warm_start
+        if len(init_a) != ineq.m_a or len(init_b) != ineq.m_b:
+            raise ValueError("initial measurement counts do not match the inequality")
+        if init_a.d != rho.d or init_b.d != rho.d:
+            raise ValueError("initial measurements do not match the state dimension")
     eng = _Engine(ineq, rho)
     best = None  # (violation, index, es, fs, iters, converged)
     lo = 0
     while lo < cfg.restarts:
         chunk = range(lo, min(2 * lo + 1, lo + MAX_CHUNK, cfg.restarts))
         if lo == 0 and warm_start is not None:
-            ops = np.concatenate([warm_start[0].ops(), warm_start[1].ops()])[None]
+            ops = np.concatenate([init_a.ops(), init_b.ops()])[None]
         else:
             ops = _initial(rho.d, ineq.m_a + ineq.m_b, chunk, cfg.base_seed, step_key)
         es, fs, values, iters, converged = eng.run(ops[:, :ineq.m_a], ops[:, ineq.m_a:],

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 import bellscope as bs
+import bellscope.catalog as catalog_mod
+import bellscope.cli as cli_mod
 from bellscope.cli import build_parser, main
 from bellscope.threshold import SIGNIFICANCE
 
@@ -195,6 +197,20 @@ def test_verify_appendix_single(capsys):
     row = data_lines(out)[1].split("\t")
     assert row[0] == "A56"
     assert abs(float(row[3]) - 0.7557816805) < 1e-4
+
+
+def test_verify_appendix_reads_the_catalog_once(capsys, monkeypatch):
+    load, calls = catalog_mod.load_catalog, []
+
+    def counting(directory=None):
+        calls.append(directory)
+        return load(directory)
+
+    monkeypatch.setattr(cli_mod, "load_catalog", counting)
+    monkeypatch.setattr(catalog_mod, "load_catalog", counting)
+    code, out, _ = run(capsys, "verify-appendix")
+    assert code == 0 and len(data_lines(out)) == 6
+    assert calls == [None]
 
 
 def test_verify_appendix_unknown(capsys):

@@ -66,6 +66,15 @@ def test_parse_missing_rows():
         bs.parse_cg("cg 2 2 0\n-1 0\n-1 1 1\n")
 
 
+@pytest.mark.parametrize("text, line", [("", 1), ("# only a comment\n", 1),
+                                        ("# a\n\n   \n", 3)],
+                         ids=["empty", "comment-only", "blank-lines"])
+def test_parse_empty_file_names_its_last_line(text, line):
+    with pytest.raises(CgParseError, match=rf"^line {line}: empty inequality file$") as err:
+        bs.parse_cg(text)
+    assert err.value.line == line
+
+
 def test_serialize_round_trip(catalog):
     for entry in catalog:
         again = bs.parse_cg(bs.serialize_cg(entry.inequality))

@@ -8,8 +8,10 @@ import pytest
 
 import bellscope as bs
 from bellscope.quantum import (
+    ROUNDING_TOL,
     Effect,
     MeasurementSet,
+    _isotropic_endpoints,
     dump_measurements,
     hermitian_eig,
     parse_measurements,
@@ -391,6 +393,58 @@ def test_alpha_crossing_degenerate(chsh):
         bs.alpha_crossing(chsh, 3, a, b)
 
 
+def random_effect_stack(d, m, rng):
+    """m projectors whose ranks are drawn from 0..d, zero and identity included."""
+    ops = []
+    for rank in rng.integers(0, d + 1, size=m):
+        g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+        q, _ = np.linalg.qr(g)
+        ops.append(q @ q.conj().T)
+    return np.stack(ops)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_isotropic_endpoints_match_violation(catalog, d):
+    """The closed form equals the trace rule on the alpha = 0 and alpha = 1 states."""
+    rng = np.random.default_rng(40 + d)
+    states = [bs.isotropic_state(d, 0.0), bs.isotropic_state(d, 1.0)]
+    for entry in catalog:
+        ineq = entry.inequality
+        for _ in range(4):
+            es, fs = random_effect_stack(d, ineq.m_a, rng), random_effect_stack(d, ineq.m_b, rng)
+            a = MeasurementSet("A", tuple(Effect(d, op) for op in es))
+            b = MeasurementSet("B", tuple(Effect(d, op) for op in fs))
+            for got, rho in zip(_isotropic_endpoints(ineq, es, fs), states):
+                assert abs(got - bs.violation(ineq, rho, a, b)) <= ROUNDING_TOL
+
+
+def test_isotropic_endpoints_stack_equals_pairs(catalog):
+    """R pairs evaluated as one stack give the same bits as one at a time."""
+    rng = np.random.default_rng(47)
+    for entry in catalog:
+        ineq = entry.inequality
+        for d in (2, 3, 4):
+            es = np.stack([random_effect_stack(d, ineq.m_a, rng) for _ in range(5)])
+            fs = np.stack([random_effect_stack(d, ineq.m_b, rng) for _ in range(5)])
+            v0, v1 = _isotropic_endpoints(ineq, es, fs)
+            assert v0.shape == v1.shape == (5,)
+            for k in range(5):
+                w0, w1 = _isotropic_endpoints(ineq, es[k], fs[k])
+                assert np.array_equal(v0[k], w0) and np.array_equal(v1[k], w1)
+
+
+def test_alpha_crossing_checks_its_inputs(chsh, catalog):
+    a, b = bs.measurements_from_vectors(bs.tsirelson_vectors(), 3)
+    with pytest.raises(ValueError, match=r"^measurement counts do not match the inequality$"):
+        bs.alpha_crossing(chsh, 3, a, MeasurementSet("B", b.effects[:1]))
+    with pytest.raises(ValueError,
+                       match=r"^measurement dimension does not match state dimension 4$"):
+        bs.alpha_crossing(chsh, 4, a, b)
+    entry = bs.find_entry(catalog, "A56")
+    cr = bs.alpha_crossing(entry.inequality, 3, *entry.measurements())
+    assert type(cr.alpha) is float and type(cr.v0) is float and type(cr.v1) is float
+
+
 # ---------------------------------------------------------------------------
 # Measurement file format
 
@@ -447,7 +501,9 @@ def test_parse_measurements_rejects_duplicates():
     ("effect A 1 proj\n1 0 0 0\n\neffect B 1 proj\neffect B 2 proj\n0 0 1 0\n", 4,
      "missing vector"),
     ("effect A 1 proj\n1 0 0 0\neffect B 1 complement\n", 3, "missing vector"),
-], ids=["bad-index", "bad-number", "odd-count", "vector-missing", "vector-missing-at-end"])
+    ("effect A 1 proj\n1 0 0 inf\neffect B 1 zero\n", 2, "not finite"),
+], ids=["bad-index", "bad-number", "odd-count", "vector-missing", "vector-missing-at-end",
+        "non-finite"])
 def test_parse_measurements_errors_name_their_line(text, line, what):
     with pytest.raises(ValueError, match=rf"^line {line}: .*{what}"):
         parse_measurements(text)
