@@ -171,11 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_stochastic_flags(p)
     p.set_defaults(func=cmd_violate)
 
-    p = sub.add_parser("threshold", help="binary search for the violation threshold alpha_max")
+    p = sub.add_parser("threshold", help="violation threshold alpha_max by crossing iteration")
     p.add_argument("--ineq", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--tol", type=float, default=SearchConfig.bracket_tol,
-                   help=f"bracket tolerance (default {SearchConfig.bracket_tol:g})")
+                   help="bracket width: the last probe, which finds no violation, runs this far "
+                        f"below alpha_upper (default {SearchConfig.bracket_tol:g})")
     add_stochastic_flags(p)
     p.set_defaults(func=cmd_threshold)
 

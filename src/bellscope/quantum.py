@@ -22,7 +22,7 @@ MIN_VECTOR_NORM = 1e-9   # shortest vector a .meas file may hold
 EIG_CUTOFF = 1e-14       # see-saw projectors keep eigenvalues above this
 SIGNIFICANCE = 1e-13     # a violation counts only above this
 SEESAW_TOL = 1e-12       # default see-saw convergence: least gain per sweep
-BRACKET_TOL = 1e-6       # default bisection bracket width
+BRACKET_TOL = 1e-6       # default threshold bracket width
 
 
 def hermitian_eig(op: np.ndarray):
@@ -305,10 +305,15 @@ def parse_measurements(text: str, party_a_count: Optional[int] = None,
                 raise ValueError(f"line {vno}: bad number in vector line ({exc})") from None
             if len(vals) % 2 != 0:
                 raise ValueError(f"line {vno}: vector line must hold re/im pairs")
-            vec = np.array(vals).view(complex)  # re/im pairs, no arithmetic on inf
-            norm = np.linalg.norm(vec)
-            if not MIN_VECTOR_NORM <= norm < np.inf:
+            # Normed after scaling by the largest |entry| (NaN propagates), so
+            # inf meets no arithmetic and large finite entries cannot overflow.
+            peak = float(np.abs(vals).max())
+            if not 0 < peak < np.inf:
                 raise ValueError(f"line {vno}: vector norm too small or not finite")
+            vec = np.divide(vals, peak).view(complex)  # re/im pairs
+            norm = float(np.linalg.norm(vec))
+            if peak * norm < MIN_VECTOR_NORM:
+                raise ValueError(f"line {vno}: vector norm too small")
             raw_records.append((no, party, index, kind, vec / norm))
         elif kind in ("zero", "identity"):
             raw_records.append((no, party, index, kind, None))

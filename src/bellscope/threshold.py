@@ -1,4 +1,6 @@
-"""Binary search for the isotropic-state violation threshold of an inequality."""
+"""Isotropic-state violation threshold of an inequality by crossing iteration
+(Dinkelbach, Management Science 13(7), 1967): for fixed measurements the
+violation is affine in alpha, so each witness fixes its own zero crossing."""
 from __future__ import annotations
 
 import math
@@ -6,13 +8,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .inequality import BellInequality
-from .quantum import BRACKET_TOL, SIGNIFICANCE, isotropic_state
+from .quantum import BRACKET_TOL, SIGNIFICANCE, alpha_crossing, isotropic_state
 from .seesaw import SeesawConfig, SeesawResult, multi_restart_max
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bisection settings: the bracket width at which to stop, and the see-saw
+    """Search settings: the bracket width at which to stop, and the see-saw
     run at every probe (``SeesawConfig`` defaults).  A probe counts
     as a violation when its best value exceeds ``SIGNIFICANCE``."""
 
@@ -26,10 +28,11 @@ class SearchConfig:
 
 @dataclass(frozen=True, eq=False)
 class AlphaEstimate:
-    """Result bracket: no violation was found at alpha_lower, a witness with
-    violation above the significance threshold exists at alpha_upper.  The
-    reported upper edge is an upper bound on the true threshold (a failed
-    search can only push it up, never down)."""
+    """Result bracket: the last probe, at alpha_lower, found no violation;
+    the witness violates above its zero crossing alpha_upper, an upper bound
+    on the true threshold (a failed search can only push it up, never down).
+    ``witness.best_violation`` is its value at the probe that found it; at
+    alpha_upper it is 0.  ``steps`` counts probes."""
 
     name: Optional[str]
     d: int
@@ -42,39 +45,28 @@ class AlphaEstimate:
 
 
 def alpha_max(ineq: BellInequality, d: int, cfg: Optional[SearchConfig] = None) -> AlphaEstimate:
-    """Bisection on [0, 1] classifying each probe by whether the multi-restart
-    see-saw finds a violation above the significance threshold.
-
-    The witness measurements of the current upper edge warm-start one restart
-    of every later step, which makes re-detection near the boundary cheap; the
-    step index enters the seed schedule, so the whole search is deterministic.
+    """Crossing iteration from alpha = 1: each probe's first witness sets
+    alpha_upper to its crossing, and the next probe runs bracket_tol below it,
+    until a probe finds no violation above the significance threshold.  Probe
+    k seeds its cold restarts with step key (k,), so the search is deterministic.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
     cfg = cfg or SearchConfig()
-
-    def probe(alpha: float, step: int, warm) -> SeesawResult:
-        return multi_restart_max(ineq, isotropic_state(d, alpha), cfg.seesaw,
-                                 warm_start=warm, stop_at=SIGNIFICANCE,
-                                 step_key=(step,))
-
-    res = probe(1.0, 0, None)
-    if res.best_violation <= SIGNIFICANCE:
-        return AlphaEstimate(ineq.name, d, 1.0, 1.0, None, cfg, 1, no_violation=True)
-
-    lo, hi, witness = 0.0, 1.0, res
-    steps = 1
-    while hi - lo > cfg.bracket_tol:
+    alpha, upper, witness, steps = 1.0, 1.0, None, 0
+    while True:
+        res = multi_restart_max(ineq, isotropic_state(d, alpha), cfg.seesaw,
+                                stop_at=SIGNIFICANCE, step_key=(steps,))
         steps += 1
-        mid = (lo + hi) / 2
-        res = probe(mid, steps - 1, (witness.best_a, witness.best_b))
-        if res.best_violation > SIGNIFICANCE:
-            hi, witness = mid, res
-        else:
-            lo = mid
-    return AlphaEstimate(ineq.name, d, hi, lo, witness, cfg, steps)
-
-
-def bisection_steps(bracket_tol: float, span: float = 1.0) -> int:
-    """Number of halvings needed to drive ``span`` below ``bracket_tol``."""
-    return max(0, math.ceil(math.log2(span / bracket_tol)))
+        if res.best_violation <= SIGNIFICANCE:
+            break
+        crossing = alpha_crossing(ineq, d, res.best_a, res.best_b)
+        if not crossing.in_range or crossing.v1 <= crossing.v0:
+            raise ValueError(f"a witness violates {ineq.name or 'the inequality'} at alpha = 0: "
+                             f"its bound {ineq.bound} is below the classical maximum")
+        upper, witness = crossing.alpha, res
+        alpha = max(upper - cfg.bracket_tol, 0.0)
+        while upper - alpha > cfg.bracket_tol:  # undo the rounding of the subtraction
+            alpha = math.nextafter(alpha, upper)
+    return AlphaEstimate(ineq.name, d, upper, alpha, witness, cfg, steps,
+                         no_violation=witness is None)

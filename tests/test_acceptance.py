@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion.
 
 Criteria 1, 2, 4, 5 are deterministic and fast; criterion 3 runs the full
-stochastic threshold reproduction (fixed seeds, 200 restarts per bisection
-step) and dominates the suite's runtime.
+stochastic threshold reproduction (fixed seeds, 200 restarts per threshold
+probe) and dominates the suite's runtime.
 """
 import importlib
 import itertools

@@ -131,6 +131,16 @@ def test_threshold_no_violation_flag(capsys):
     assert row[-1] == "yes"
 
 
+def test_threshold_rejects_bound_below_classical_max(capsys, tmp_path):
+    # CHSH with bound -1: its classical maximum 0 violates it at alpha = 0.
+    path = tmp_path / "chsh_low.cg"
+    path.write_text("cg 2 2 -1\n-1 0\n-1 1 1\n0 1 -1\n", encoding="utf-8")
+    code, out, err = run(capsys, "threshold", "--ineq", str(path), "--d", "2")
+    assert code == 3
+    assert out == ""
+    assert "below the classical maximum" in err
+
+
 def test_equiv_yes_identity(capsys):
     code, out, _ = run(capsys, "equiv", "CHSH", "CHSH")
     assert code == 0

@@ -507,3 +507,10 @@ def test_parse_measurements_rejects_duplicates():
 def test_parse_measurements_errors_name_their_line(text, line, what):
     with pytest.raises(ValueError, match=rf"^line {line}: .*{what}"):
         parse_measurements(text)
+
+
+def test_parse_measurements_large_finite_vector_renormalizes():
+    # Squaring 1e200 overflows; the norm is taken after scaling by 1e200.
+    big, _ = parse_measurements("effect A 1 proj\n1e200 0 1e200 0 0 0\neffect B 1 zero\n")
+    unit, _ = parse_measurements("effect A 1 proj\n1 0 1 0 0 0\neffect B 1 zero\n")
+    assert np.array_equal(big.ops(), unit.ops())

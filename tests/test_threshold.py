@@ -1,10 +1,12 @@
-"""Bisection for the isotropic violation threshold."""
+"""Crossing iteration for the isotropic violation threshold."""
 import numpy as np
 import pytest
 
 import bellscope as bs
+import bellscope.threshold as threshold_mod
+from bellscope.quantum import ROUNDING_TOL
 from bellscope.seesaw import SeesawConfig
-from bellscope.threshold import SIGNIFICANCE, SearchConfig, alpha_max, bisection_steps
+from bellscope.threshold import SIGNIFICANCE, SearchConfig, alpha_max
 
 SQRT2 = np.sqrt(2.0)
 
@@ -44,12 +46,32 @@ def test_bracket_invariants(chsh):
     assert direct > SIGNIFICANCE - 1e-10
 
 
-def test_step_count_matches_halvings(chsh):
-    tol = 1e-3
-    est = alpha_max(chsh, 2, quick_cfg(restarts=30, tol=tol, seed=5))
-    assert est.steps == 1 + bisection_steps(tol)
-    assert bisection_steps(1e-3) == 10
-    assert bisection_steps(1e-6) == 20
+def test_upper_edge_is_witness_crossing_and_steps_count_probes(chsh, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["step_key"])
+        return bs.multi_restart_max(*args, **kwargs)
+
+    monkeypatch.setattr(threshold_mod, "multi_restart_max", counted)
+    est = alpha_max(chsh, 2, quick_cfg(restarts=30, tol=1e-3, seed=5))
+    crossing = bs.alpha_crossing(chsh, 2, est.witness.best_a, est.witness.best_b)
+    assert abs(est.alpha_upper - crossing.alpha) <= ROUNDING_TOL
+    assert est.steps == len(calls)
+    assert calls == [(k,) for k in range(est.steps)]
+
+
+@pytest.mark.parametrize("d, exact", [(2, 1 / SQRT2), (3, 4 / (3 * SQRT2 + 1))], ids=["d2", "d3"])
+def test_chsh_threshold_to_witness_precision(chsh, d, exact):
+    est = alpha_max(chsh, d)
+    assert abs(est.alpha_upper - exact) < 1e-9
+
+
+def test_bracket_wider_than_alpha_upper_stops_at_alpha_zero(chsh):
+    est = alpha_max(chsh, 2, quick_cfg(restarts=20, tol=0.9, seed=8))
+    assert est.alpha_lower == 0.0
+    assert abs(est.alpha_upper - 1 / SQRT2) < 1e-9
+    assert est.steps == 2
 
 
 def test_more_restarts_never_raise_the_bound(chsh):
