@@ -38,7 +38,7 @@ from .quantum import (
     random_projective_measurement,
     violation,
 )
-from .seesaw import SeesawConfig, SeesawResult, multi_restart_max, optimize_party, seesaw
+from .seesaw import SeesawConfig, SeesawResult, multi_restart_max, optimize_party
 from .threshold import AlphaEstimate, SearchConfig, alpha_max
 from .chsh import (
     ProjectionVectors,

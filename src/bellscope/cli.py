@@ -111,8 +111,10 @@ def cmd_includes(args) -> int:
     print("yes" if flag else "no")
     if witness is not None:
         t = witness.transform
-        fixed = [f"A{p + 1}" for p in t.perm_a[witness.kept_a:]]
-        fixed += [f"B{p + 1}" for p in t.perm_b[witness.kept_b:]]
+        free_a, free_b = t.perm_a[witness.kept_a:], t.perm_b[witness.kept_b:]
+        if t.swap_parties:  # the transform's A settings are then the first's B settings
+            free_a, free_b = free_b, free_a
+        fixed = [f"A{p + 1}" for p in free_a] + [f"B{p + 1}" for p in free_b]
         print(f"witness\tkeep {witness.kept_a}+{witness.kept_b}; "
               f"fix {','.join(fixed) if fixed else 'none'}; transform: {t.describe()}")
     return 0

@@ -259,13 +259,21 @@ def load_cg(path) -> BellInequality:
 # Transform application
 
 
+def _weights(x: BellInequality, sa: tuple[bool, ...]) -> tuple[int, ...]:
+    """Bob's weights under Alice's flips ``sa``: ``w[j]`` is his marginal
+    coefficient on setting j plus its joint terms over Alice's flipped
+    settings, the gain of his outputting 1 on j while Alice outputs 1 exactly
+    where ``sa`` is true."""
+    return tuple(map(sum, zip(x.marg_b, *itertools.compress(x.joint, sa))))
+
+
 def _flipped(x: BellInequality, sa: tuple[bool, ...], sb: tuple[bool, ...]) -> BellInequality:
     """Outcomes exchanged on Alice's settings where ``sa`` is true and Bob's
     where ``sb`` is true, in closed form: the bound falls by the value of the
     strategy that outputs 1 exactly on those settings, each marginal absorbs
     its row (column) of joint terms over the other party's flipped settings,
     and a coefficient changes sign once per flipped setting it involves."""
-    w = tuple(map(sum, zip(x.marg_b, *itertools.compress(x.joint, sa))))
+    w = _weights(x, sa)
     marg_a = tuple((-1 if f else 1) * (m + sum(itertools.compress(row, sb)))
                    for f, m, row in zip(sa, x.marg_a, x.joint))
     marg_b = tuple(-v if f else v for f, v in zip(sb, w))
@@ -305,12 +313,12 @@ def apply_transform(ineq: BellInequality, t: Transform) -> BellInequality:
 
 def _best_responses(x: BellInequality):
     """Yield (sa, w, value) for each of Alice's outcome assignments, in
-    itertools.product order.  ``w[j]`` is the gain of Bob's outputting 1 on
-    setting j against sa, so his best response outputs 1 exactly where
-    w[j] > 0 (either outcome where w[j] == 0); ``value`` is the strategy's
-    value under that response.  Exact because Bob's settings decouple."""
+    itertools.product order, with Bob's weights ``w``: his best response
+    outputs 1 exactly where w[j] > 0 (either outcome where w[j] == 0), and
+    ``value`` is the strategy's value under it.  Exact because Bob's settings
+    decouple."""
     for sa in itertools.product((False, True), repeat=x.m_a):
-        w = tuple(map(sum, zip(x.marg_b, *itertools.compress(x.joint, sa))))
+        w = _weights(x, sa)
         value = sum(itertools.compress(x.marg_a, sa)) + sum(v for v in w if v > 0)
         yield sa, w, value
 
@@ -529,134 +537,102 @@ def are_equivalent(a: BellInequality, b: BellInequality):
 def includes(a: BellInequality, b: BellInequality):
     """Whether ``a`` includes ``b``: some equivalent form of ``a`` restricted
     to its leading m_a(b) x m_b(b) block (bound included) equals ``b``.
-    Returns (flag, InclusionWitness or None)."""
+
+    Returns (flag, InclusionWitness or None).  The witness is the first match
+    on ``a``, then on its transpose unless ``a`` is symmetric, in this order:
+    b's rows on signed rows, flips of the free rows, b's columns on signed
+    columns, flips of the free columns.  With flip vectors sa, sb and Bob's
+    weights w under sa, the bound matches when
+    ``bound - sum(marg_a[sa]) - sum(w[sb]) == b.bound``."""
     for swapped in (False, True):
         x = a.transposed() if swapped else a
-        if x.m_a < b.m_a or x.m_b < b.m_b:
-            continue
-        found = _inclusion_search(x, b)
+        if swapped and x == a:
+            break  # symmetric: the swapped branch repeats the search
+        found = _inclusion_search(x, b) if x.m_a >= b.m_a and x.m_b >= b.m_b else None
         if found is not None:
-            perm_a, flips_a, perm_b, flips_b = found
-            t = Transform(swapped, perm_a, perm_b, flips_a, flips_b)
-            return True, InclusionWitness(t, b.m_a, b.m_b)
-        if a.m_a == a.m_b and b.m_a == b.m_b and a.joint == a.transposed().joint \
-                and a.marg_a == a.marg_b:
-            break  # symmetric inequality: the swapped branch repeats the search
+            return True, InclusionWitness(Transform(swapped, *found), b.m_a, b.m_b)
     return False, None
 
 
 def _inclusion_search(x: BellInequality, b: BellInequality):
-    """Backtracking core of includes(); x is the (possibly swapped) larger
-    inequality.  Returns (perm_a, flips_a, perm_b, flips_b) on success."""
-    m_a, m_b, n_a, n_b = x.m_a, x.m_b, b.m_a, b.m_b
-    J = x.joint
-
-    # Column candidates per target column, filtered as rows get assigned:
-    # (source column, sign) with sign -1 meaning the source column is flipped.
-    init_cols = [[(c, s) for c in range(m_b) for s in (1, -1)] for _ in range(n_b)]
-
-    def assign_rows(i, used, rows, cols):
-        if i == n_a:
-            return finish_rows(rows, cols)
-        for r in range(m_a):
-            if used & (1 << r):
-                continue
-            for s in (1, -1):
-                new_cols = []
-                ok = True
-                for j in range(n_b):
-                    keep = [(c, t) for (c, t) in cols[j] if s * t * J[r][c] == b.joint[i][j]]
-                    if not keep:
-                        ok = False
-                        break
-                    new_cols.append(keep)
-                if not ok:
-                    continue
-                if not _matchable(new_cols, m_b):
-                    continue
-                got = assign_rows(i + 1, used | (1 << r), rows + [(r, s)], new_cols)
-                if got is not None:
-                    return got
-        return None
-
-    def finish_rows(rows, cols):
-        kept_rows = [r for r, _ in rows]
-        free_rows = [r for r in range(m_a) if r not in kept_rows]
-        for extra in itertools.product((False, True), repeat=len(free_rows)):
-            flip_rows = {r for (r, s) in rows if s < 0}
-            flip_rows.update(r for r, f in zip(free_rows, extra) if f)
-            # Bob marginals are now fully determined per candidate column.
-            fcols = []
-            ok = True
-            for j in range(n_b):
-                keep = [(c, t) for (c, t) in cols[j]
-                        if t * (x.marg_b[c] + sum(J[r][c] for r in flip_rows)) == b.marg_b[j]]
-                if not keep:
-                    ok = False
-                    break
-                fcols.append(keep)
-            if not ok or not _matchable(fcols, m_b):
-                continue
-            got = assign_cols(0, 0, [], fcols, rows, flip_rows, free_rows)
-            if got is not None:
-                return got
-        return None
-
-    def assign_cols(j, used, acc, fcols, rows, flip_rows, free_rows):
-        if j == n_b:
-            return finish_cols(acc, rows, flip_rows, free_rows)
-        for c, t in fcols[j]:
-            if used & (1 << c):
-                continue
-            got = assign_cols(j + 1, used | (1 << c), acc + [(c, t)], fcols, rows,
-                              flip_rows, free_rows)
-            if got is not None:
-                return got
-        return None
-
-    def finish_cols(col_assign, rows, flip_rows, free_rows):
-        kept_cols = [c for c, _ in col_assign]
-        free_cols = [c for c in range(m_b) if c not in kept_cols]
-        for extra in itertools.product((False, True), repeat=len(free_cols)):
-            flip_cols = {c for (c, t) in col_assign if t < 0}
-            flip_cols.update(c for c, f in zip(free_cols, extra) if f)
-            good = all(
-                s * (x.marg_a[r] + sum(J[r][c] for c in flip_cols)) == b.marg_a[i]
-                for i, (r, s) in enumerate(rows))
-            if not good:
-                continue
-            bound = (x.bound - sum(x.marg_a[r] for r in flip_rows)
-                     - sum(x.marg_b[c] for c in flip_cols)
-                     - sum(J[r][c] for r in flip_rows for c in flip_cols))
-            if bound != b.bound:
-                continue
-            perm_a = tuple(r for r, _ in rows) + tuple(free_rows)
-            perm_b = tuple(kept_cols) + tuple(free_cols)
-            flips_a = tuple(r in flip_rows for r in perm_a)
-            flips_b = tuple(c in flip_cols for c in perm_b)
-            return perm_a, flips_a, perm_b, flips_b
-        return None
-
-    return assign_rows(0, 0, [], init_cols)
+    """The first match on x as (perm_a, perm_b, flip_a, flip_b), or None."""
+    start = [[(c, t) for c in range(x.m_b) for t in (False, True)]] * b.m_b
+    for rows, cands in _place_rows(x, b, (), start):
+        perm_a = [r for r, _ in rows]
+        perm_a += [r for r in range(x.m_a) if r not in perm_a]
+        for free_a in itertools.product((False, True), repeat=x.m_a - b.m_a):
+            flip_a = tuple(s for _, s in rows) + free_a
+            sa = tuple(f for _, f in sorted(zip(perm_a, flip_a)))
+            w = _weights(x, sa)
+            fits = _narrow(cands, w, b.marg_b)
+            for cols in _place_cols(fits, ()) if fits else ():
+                perm_b = [c for c, _ in cols]
+                perm_b += [c for c in range(x.m_b) if c not in perm_b]
+                for free_b in itertools.product((False, True), repeat=x.m_b - b.m_b):
+                    flip_b = tuple(t for _, t in cols) + free_b
+                    sb = tuple(f for _, f in sorted(zip(perm_b, flip_b)))
+                    if (x.bound - sum(itertools.compress(x.marg_a, sa))
+                            - sum(itertools.compress(w, sb)) == b.bound
+                            and all((x.marg_a[r] + sum(itertools.compress(x.joint[r], sb)))
+                                    * (-1 if s else 1) == v for (r, s), v in zip(rows, b.marg_a))):
+                        return tuple(perm_a), tuple(perm_b), flip_a, flip_b
+    return None
 
 
-def _matchable(cands: list[list[tuple[int, int]]], m: int) -> bool:
-    """Cheap feasibility check that the candidate columns admit an injective
-    assignment (greedy bipartite matching; exact for these sizes)."""
+def _place_rows(x: BellInequality, b: BellInequality, rows: tuple, cands: list):
+    """Yield each placement ``rows[i] = (r, flip)`` of b's rows on distinct rows
+    of x, depth first, with ``cands[j]`` the (column, flip) pairs that fit."""
+    if len(rows) == b.m_a:
+        yield rows, cands
+        return
+    targets = b.joint[len(rows)], tuple(-v for v in b.joint[len(rows)])  # flipped: -b's row
+    used = {r for r, _ in rows}
+    for r, s in itertools.product([r for r in range(x.m_a) if r not in used], (False, True)):
+        nxt = _narrow(cands, x.joint[r], targets[s])
+        if nxt:
+            yield from _place_rows(x, b, rows + ((r, s),), nxt)
+
+
+def _place_cols(cands: list, cols: tuple):
+    """Yield each choice of one pair per entry of ``cands`` on distinct columns."""
+    if len(cols) == len(cands):
+        yield cols
+        return
+    used = {c for c, _ in cols}
+    for c, t in cands[len(cols)]:
+        if c not in used:
+            yield from _place_cols(cands, cols + ((c, t),))
+
+
+def _narrow(cands: list, v: tuple, target: tuple) -> Optional[list]:
+    """Per target column j, the pairs (c, flip) with ``v[c]``, negated when
+    flipped, equal to ``target[j]``; None once a column runs empty or the
+    columns admit no distinct choice."""
+    out = []
+    for pairs, want in zip(cands, target):
+        keep = [(c, t) for c, t in pairs if (-v[c] if t else v[c]) == want]
+        if not keep:
+            return None
+        out.append(keep)
+    return out if _matchable(out) else None
+
+
+def _matchable(cands: list[list[tuple[int, bool]]]) -> bool:
+    """Whether every candidate list can take a distinct column (augmenting
+    paths, exact)."""
     match: dict[int, int] = {}
 
-    def try_assign(j, seen):
+    def augment(j, seen):
         for c, _ in cands[j]:
-            if c in seen:
-                continue
-            seen.add(c)
-            if c not in match or try_assign(match[c], seen):
-                match[c] = j
-                return True
+            if c not in seen:
+                seen.add(c)
+                if c not in match or augment(match[c], seen):
+                    match[c] = j
+                    return True
         return False
 
     for j in range(len(cands)):
-        if not try_assign(j, set()):
+        if not augment(j, set()):
             return False
     return True
 

@@ -21,7 +21,7 @@ PROJECTIVE_TOL = 1e-9    # |E^2 - E| of a projective effect; unit CHSH vectors
 MIN_VECTOR_NORM = 1e-9   # shortest vector a .meas file may hold
 EIG_CUTOFF = 1e-14       # see-saw projectors keep eigenvalues above this
 SIGNIFICANCE = 1e-13     # a violation counts only above this
-SEESAW_TOL = 1e-12       # default see-saw convergence: least gain per sweep
+SEESAW_TOL = 1e-12       # see-saw convergence: least gain per sweep
 BRACKET_TOL = 1e-6       # default threshold bracket width
 
 

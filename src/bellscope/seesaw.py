@@ -18,22 +18,19 @@ from .quantum import EIG_CUTOFF, SEESAW_TOL, DensityMatrix, Effect, MeasurementS
 
 # Restarts run in chunks of 1, 2, 4, ... up to this size; restart 0 runs alone.
 MAX_CHUNK = 256
+MAX_ITERS = 500  # sweeps a restart may take before it stops unconverged
 
 
 @dataclass(frozen=True)
 class SeesawConfig:
     """Knobs for one multi-restart run."""
 
-    tol: float = SEESAW_TOL
-    max_iters: int = 500
     restarts: int = 200
     base_seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.tol < np.inf:
-            raise ValueError("tol must be positive and finite")
-        if self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("max_iters and restarts must be at least 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,19 +88,20 @@ class _Engine:
         return ((hs * fs.conj()).real.sum(axis=(-3, -2, -1))
                 + (off_a * es.conj()).real.sum(axis=(-3, -2, -1)) - self.bound)
 
-    def run(self, es: np.ndarray, fs: np.ndarray, tol: float, max_iters: int):
+    def run(self, es: np.ndarray, fs: np.ndarray):
         """Alternate full A/B sweeps on (R, m, d, d) stacks, updated in place,
-        until each restart's improvement drops below tol; converged restarts
-        leave the stack.  Returns (es, fs, values, iters, converged)."""
+        until each restart's improvement drops below SEESAW_TOL, for at most
+        MAX_ITERS sweeps; converged restarts leave the stack.  Returns (es, fs,
+        values, iters, converged)."""
         values = self.objective(es, fs)
         iters = np.zeros(len(values), dtype=int)
         converged = np.zeros(len(values), dtype=bool)
         active = np.arange(len(values))
-        for it in range(1, max_iters + 1):
+        for it in range(1, MAX_ITERS + 1):
             e = _project(self.operators(PARTY_A, fs[active]))
             f = _project(self.operators(PARTY_B, e))
             new, old = self.objective(e, f), values[active]
-            done = new - old < tol
+            done = new - old < SEESAW_TOL
             es[active], fs[active], iters[active] = e, f, it
             values[active] = np.where(done, np.maximum(old, new), new)
             converged[active] = done
@@ -186,8 +184,7 @@ def multi_restart_max(ineq: BellInequality, rho: DensityMatrix, cfg: SeesawConfi
             ops = np.concatenate([init_a.ops(), init_b.ops()])[None]
         else:
             ops = _initial(rho.d, ineq.m_a + ineq.m_b, chunk, cfg.base_seed, step_key)
-        es, fs, values, iters, converged = eng.run(ops[:, :ineq.m_a], ops[:, ineq.m_a:],
-                                                   cfg.tol, cfg.max_iters)
+        es, fs, values, iters, converged = eng.run(ops[:, :ineq.m_a], ops[:, ineq.m_a:])
         if stop_at is not None and (values > stop_at).any():  # nothing after the first hit counts
             values = values[:np.argmax(values > stop_at) + 1]
         k = int(np.argmax(values))

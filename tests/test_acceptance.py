@@ -4,7 +4,6 @@ Criteria 1, 2, 4, 5 are deterministic and fast; criterion 3 runs the full
 stochastic threshold reproduction (fixed seeds, 200 restarts per threshold
 probe) and dominates the suite's runtime.
 """
-import importlib
 import itertools
 
 import numpy as np
@@ -191,8 +190,7 @@ def test_criterion_6_property_suites(by_name, chsh, monkeypatch):
     # Batch-size invariance of the restart reduction.
     cfg = SeesawConfig(restarts=24, base_seed=77)
     batched = multi_restart_max(a5, rho, cfg)
-    # bellscope.seesaw names the re-exported function; patch the module.
-    monkeypatch.setattr(importlib.import_module("bellscope.seesaw"), "MAX_CHUNK", 1)
+    monkeypatch.setattr("bellscope.seesaw.MAX_CHUNK", 1)
     single = multi_restart_max(a5, rho, cfg)
     assert batched.best_violation == single.best_violation
     assert batched.restart_index == single.restart_index

@@ -163,6 +163,19 @@ def test_includes_i3322_chsh_witness(capsys):
     assert "fix A3,B1" in lines[1]
 
 
+def test_includes_labels_fixed_settings_after_party_swap(capsys, tmp_path):
+    # A8's five Bob settings against its Alice setting 1: the witness swaps
+    # parties, and the settings to fix in A8 are Alice's.
+    block = tmp_path / "a8_block.cg"
+    block.write_text("cg 5 1 0\n-1 -2 0 0 0\n0 1 1 -1 -1 0\n")
+    code, out, _ = run(capsys, "includes", "A8", str(block))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "yes"
+    assert "fix A2,A3,A4;" in lines[1]
+    assert "swap parties" in lines[1]
+
+
 def test_includes_i4422_chsh_no(capsys):
     for name in ("I4422_1", "I4422_2"):
         code, out, _ = run(capsys, "includes", name, "CHSH")

@@ -432,18 +432,31 @@ def test_canonical_form_against_group_enumeration():
             assert bs.canonical_form(ineq).key() == orbit_min
 
 
+def _plus_transpose(ineq):
+    """A symmetric inequality: a square one plus its party swap."""
+    t = ineq.transposed()
+    marg = tuple(x + y for x, y in zip(ineq.marg_a, t.marg_a))
+    joint = tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(ineq.joint, t.joint))
+    return bs.BellInequality(marg, marg, joint, 2 * ineq.bound)
+
+
 def test_includes_against_group_enumeration():
     """Oracle: includes() agrees with scanning the whole orbit for a matching
-    leading block, on planted-positive and random-negative instances."""
+    leading block, on planted-positive and random instances, and its witness
+    produces that block.  The shapes leave free rows and free columns in the
+    unswapped and the swapped branch; every third square instance is
+    symmetric, so the swapped branch is skipped."""
     rng = np.random.default_rng(100)
 
     def brute_includes(a, b):
-        for swapped in (False, True):
-            x = a.transposed() if swapped else a
+        for x in (a, a.transposed()):
             if x.m_a < b.m_a or x.m_b < b.m_b:
                 continue
-            for t in _all_transforms(x.m_a, x.m_b):
-                y = bs.apply_transform(x, t)
+            for pa, pb, fa, fb in itertools.product(
+                    itertools.permutations(range(x.m_a)), itertools.permutations(range(x.m_b)),
+                    itertools.product((False, True), repeat=x.m_a),
+                    itertools.product((False, True), repeat=x.m_b)):
+                y = bs.apply_transform(x, bs.Transform(False, pa, pb, fa, fb))
                 if (y.bound == b.bound
                         and y.marg_a[:b.m_a] == b.marg_a
                         and y.marg_b[:b.m_b] == b.marg_b
@@ -451,21 +464,28 @@ def test_includes_against_group_enumeration():
                     return True
         return False
 
-    from conftest import random_transform
-
-    for trial in range(12):
-        a = _random_small_ineq(rng, 2, 3)
-        if trial % 2 == 0:
-            # Plant a genuine reduction: transform a, keep the leading block.
-            y = bs.apply_transform(a, random_transform(2, 3, rng, allow_swap=False))
-            b = bs.BellInequality(y.marg_a[:2], y.marg_b[:2],
-                                  tuple(r[:2] for r in y.joint[:2]), y.bound)
-        else:
-            b = _random_small_ineq(rng, 2, 2)
-        expected = brute_includes(a, b)
-        assert bs.includes(a, b)[0] == expected
-        if trial % 2 == 0:
-            assert expected  # planted cases must be true inclusions
+    shapes = (((2, 3), (2, 2)), ((3, 3), (2, 2)), ((3, 2), (1, 2)), ((2, 2), (1, 1)))
+    for span, ((m_a, m_b), (n_a, n_b)) in itertools.product((1, 2), shapes):
+        for trial in range(10):
+            a = _random_small_ineq(rng, m_a, m_b, span)
+            if m_a == m_b and trial % 3 == 2:
+                a = _plus_transpose(a)
+            if trial % 2 == 0:
+                # Plant a genuine reduction: transform a, keep the leading block.
+                y = bs.apply_transform(a, random_transform(m_a, m_b, rng, allow_swap=False))
+                b = bs.BellInequality(y.marg_a[:n_a], y.marg_b[:n_b],
+                                      tuple(r[:n_b] for r in y.joint[:n_a]), y.bound)
+            else:
+                b = _random_small_ineq(rng, n_a, n_b, span)
+            expected = brute_includes(a, b)
+            flag, witness = bs.includes(a, b)
+            assert flag == expected
+            if trial % 2 == 0:
+                assert expected  # planted cases must be true inclusions
+            if flag:
+                y = bs.apply_transform(a, witness.transform)
+                assert (y.bound, y.marg_a[:n_a], y.marg_b[:n_b]) == (b.bound, b.marg_a, b.marg_b)
+                assert tuple(r[:n_b] for r in y.joint[:n_a]) == b.joint
 
 
 # ---------------------------------------------------------------------------

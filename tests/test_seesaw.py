@@ -1,5 +1,7 @@
 """Alternating optimization: half-step optimality, monotonicity, restarts,
 determinism."""
+import types
+
 import numpy as np
 import pytest
 
@@ -191,7 +193,7 @@ def test_results_do_not_depend_on_chunk_size(by_name, name, d, alpha):
         parts = []
         for lo in range(0, total, size):
             ops = _initial(d, ineq.m_a + ineq.m_b, range(lo, min(lo + size, total)), 3, (1,))
-            parts.append(eng.run(ops[:, :ineq.m_a], ops[:, ineq.m_a:], 1e-12, 500))
+            parts.append(eng.run(ops[:, :ineq.m_a], ops[:, ineq.m_a:]))
         return [np.concatenate(arrays) for arrays in zip(*parts)]
 
     whole = run(total)
@@ -214,10 +216,14 @@ def test_a8_above_table_value_violates(by_name):
     assert res.best_violation > 1e-13
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
-def test_tol_must_be_positive_and_finite(tol):
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        SeesawConfig(tol=tol)
+def test_restarts_must_be_at_least_one():
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        SeesawConfig(restarts=0)
+
+
+def test_package_attribute_seesaw_is_the_module():
+    assert isinstance(bs.seesaw, types.ModuleType)
+    assert bs.seesaw.seesaw is seesaw
 
 
 def test_multi_restart_deterministic(chsh):
