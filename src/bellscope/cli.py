@@ -8,9 +8,12 @@ between identical runs.  Exit codes: 0 success, 2 usage error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .catalog import APPENDIX_NAMES, _appendix_report, find_entry, load_catalog
@@ -42,10 +45,14 @@ def _resolve_ineq(source: str) -> BellInequality:
 
 
 def _manifest(command: str, started: float, **config):
-    rows = [("command", command)]
-    rows += sorted(config.items())
-    rows.append(("version", __version__))
-    rows.append(("duration_s", f"{time.time() - started:.3f}"))
+    try:  # the BLAS numpy was built with; numpy < 1.25 has no mode="dicts"
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    rows = [("command", command), *sorted(config.items()), ("version", __version__),
+            ("numpy", np.__version__), ("python", platform.python_version()), ("blas", blas),
+            ("duration_s", f"{time.time() - started:.3f}")]
     for key, value in rows:
         print(f"# manifest\t{key}\t{value}")
 

@@ -146,10 +146,11 @@ class Transform:
         parts = []
         if self.swap_parties:
             parts.append("swap parties")
+        src_a, src_b = ("B", "A") if self.swap_parties else ("A", "B")  # perms index the swap
         if self.perm_a != tuple(range(len(self.perm_a))):
-            parts.append("A<-(" + ",".join(f"A{p + 1}" for p in self.perm_a) + ")")
+            parts.append("A<-(" + ",".join(f"{src_a}{p + 1}" for p in self.perm_a) + ")")
         if self.perm_b != tuple(range(len(self.perm_b))):
-            parts.append("B<-(" + ",".join(f"B{p + 1}" for p in self.perm_b) + ")")
+            parts.append("B<-(" + ",".join(f"{src_b}{p + 1}" for p in self.perm_b) + ")")
         flips = [f"A{i + 1}" for i, f in enumerate(self.flip_a) if f]
         flips += [f"B{j + 1}" for j, f in enumerate(self.flip_b) if f]
         if flips:

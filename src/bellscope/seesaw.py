@@ -29,8 +29,8 @@ class SeesawConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+        if not 1 <= self.restarts <= 2**32:  # a restart index is one 32-bit seed word
+            raise ValueError("restarts must be at least 1 and at most 2**32")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,53 +81,97 @@ class _Engine:
         lead = others.shape[:-3]
         return (others.reshape(*lead, 1, -1) @ to).reshape(*lead, *off.shape) + off
 
-    def objective(self, es: np.ndarray, fs: np.ndarray):
+    def objective(self, es: np.ndarray, fs: np.ndarray, hs: Optional[np.ndarray] = None):
         """Inequality value minus bound, sum_j tr(H_j F_j) + sum_i marg_a[i]
-        tr(rho_A E_i) - bound, for Hermitian effects; H_j is Bob's operator."""
-        hs, off_a = self.operators(PARTY_B, es), self.maps[PARTY_A][1]
+        tr(rho_A E_i) - bound, for Hermitian effects; H_j is Bob's operator,
+        ``operators(PARTY_B, es)``, passed in by a caller that has it."""
+        hs = self.operators(PARTY_B, es) if hs is None else hs
         return ((hs * fs.conj()).real.sum(axis=(-3, -2, -1))
-                + (off_a * es.conj()).real.sum(axis=(-3, -2, -1)) - self.bound)
+                + (self.maps[PARTY_A][1] * es.conj()).real.sum(axis=(-3, -2, -1)) - self.bound)
 
     def run(self, es: np.ndarray, fs: np.ndarray):
-        """Alternate full A/B sweeps on (R, m, d, d) stacks, updated in place,
-        until each restart's improvement drops below SEESAW_TOL, for at most
-        MAX_ITERS sweeps; converged restarts leave the stack.  Returns (es, fs,
+        """Alternate full A/B sweeps on (R, m, d, d) stacks until each
+        restart's improvement drops below SEESAW_TOL, for at most MAX_ITERS
+        sweeps.  Live restarts form a compacted stack; a finished one leaves
+        it and is written back to es and fs in place.  Returns (es, fs,
         values, iters, converged)."""
         values = self.objective(es, fs)
-        iters = np.zeros(len(values), dtype=int)
+        iters = np.full(len(values), MAX_ITERS)
         converged = np.zeros(len(values), dtype=bool)
-        active = np.arange(len(values))
+        live, f, old = np.arange(len(values)), fs, values
         for it in range(1, MAX_ITERS + 1):
-            e = _project(self.operators(PARTY_A, fs[active]))
-            f = _project(self.operators(PARTY_B, e))
-            new, old = self.objective(e, f), values[active]
+            e = _project(self.operators(PARTY_A, f))
+            f = _project(hs := self.operators(PARTY_B, e))
+            new = self.objective(e, f, hs)
             done = new - old < SEESAW_TOL
-            es[active], fs[active], iters[active] = e, f, it
-            values[active] = np.where(done, np.maximum(old, new), new)
-            converged[active] = done
-            active = active[~done]
-            if not active.size:
-                break
+            if done.any():
+                rows, keep = live[done], ~done
+                es[rows], fs[rows], iters[rows] = e[done], f[done], it
+                values[rows], converged[rows] = np.maximum(old[done], new[done]), True
+                live, e, f, new = live[keep], e[keep], f[keep], new[keep]
+                if not live.size:
+                    break
+            old = new
+        else:
+            es[live], fs[live], values[live] = e, f, old
         return es, fs, values, iters, converged
+
+
+# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe), replayed by _seed_words.
+INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R, MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+def _seed_words(base_seed: int, step_key: tuple, restarts: range) -> np.ndarray:
+    """``SeedSequence(base_seed, spawn_key=(*step_key, i)).generate_state(4,
+    np.uint64)`` for all i in ``restarts``, (R, 4), in one pass.  numpy mixes
+    the words before i into the pool, hashing 4 times per word past the fourth
+    after 16 initial hashes; i, one 32-bit word, is mixed in last.  Arithmetic
+    runs on uint32 arrays, which wrap, or Python ints, never numpy scalars."""
+    n = [max(1, -(-int(x).bit_length() // 32)) for x in (base_seed, *step_key)]
+    h = INIT_A * pow(MULT_A, 16 + 4 * (max(4, n[0]) + sum(n[1:]) - 4), 1 << 32) & MASK32
+    index, mixed, words = np.arange(restarts.start, restarts.stop, dtype=np.uint32), [], []
+    for p in np.random.SeedSequence(base_seed, spawn_key=step_key).pool.tolist():
+        v = (index ^ h) * (h := h * MULT_A & MASK32)
+        r = (MIX_MULT_L * p & MASK32) - MIX_MULT_R * (v ^ v >> 16)
+        mixed.append(r ^ r >> 16)
+    h = INIT_B
+    for k in range(8):
+        v = (mixed[k % 4] ^ h) * (h := h * MULT_B & MASK32)
+        words.append(v ^ v >> 16)
+    lo, hi = (np.stack(words[k::2], axis=1).astype(np.uint64) for k in (0, 1))
+    return lo | hi << 32
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """Precomputed seed words; PCG64 asks for exactly four uint64."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _initial(d: int, m: int, restarts: range, base_seed: int, step_key: tuple) -> np.ndarray:
     """Random projective starts, (R, m, d, d).  Restart i draws from
-    SeedSequence(base_seed, spawn_key=(*step_key, i)): per effect, its rank
-    uniformly from 1..d-1, then the real and imaginary parts of a Gaussian
-    d x rank matrix whose Q factor spans a Haar-random subspace.  Only the QR
-    runs batched."""
-    draws = []
-    for i in restarts:
-        rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(*step_key, i)))
-        for _ in range(m):
-            rank = 1 + int(rng.integers(d - 1))
-            draws.append(rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank)))
-    ops = np.empty((len(draws), d, d), dtype=complex)
-    for rank in {g.shape[1] for g in draws}:
-        sel = [k for k, g in enumerate(draws) if g.shape[1] == rank]
-        q, _ = np.linalg.qr(np.stack([draws[k] for k in sel]))
-        ops[sel] = q @ q.conj().swapaxes(-1, -2)
+    default_rng(SeedSequence(base_seed, spawn_key=(*step_key, i))), seeded bit
+    for bit from _seed_words: per effect, its rank uniformly from 1..d-1 (a
+    draw that consumes nothing at d = 2, so skipped), then the real and
+    imaginary parts of a Gaussian d x rank matrix whose Q factor spans a
+    Haar-random subspace.  The QR runs batched, once per rank."""
+    groups = {}  # rank -> [(effect position, real and imaginary parts)]
+    for r, words in enumerate(_seed_words(base_seed, step_key, restarts)):
+        rng = np.random.Generator(np.random.PCG64(_Words(words)))
+        for k in range(r * m, r * m + m):
+            rank = 1 + int(rng.integers(d - 1)) if d > 2 else 1
+            groups.setdefault(rank, []).append((k, rng.standard_normal(2 * d * rank)))
+    ops = np.empty((len(restarts) * m, d, d), dtype=complex)
+    for rank, group in groups.items():
+        pos, draws = zip(*group)
+        g = np.reshape(draws, (len(pos), 2, d, rank))
+        q, _ = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+        ops[list(pos)] = q @ q.conj().swapaxes(-1, -2)
     return ops.reshape(len(restarts), m, d, d)
 
 

@@ -1,4 +1,6 @@
 """Command-line surface: output shapes, exit codes, determinism."""
+import platform
+
 import numpy as np
 import pytest
 
@@ -72,10 +74,13 @@ def test_manifest_records_exactly_what_a_run_depends_on(capsys, argv, run_key):
     manifest = dict(rows)
     assert len(manifest) == len(rows)
     assert set(manifest) == {"command", run_key, "d", "ineq", "restarts", "seed",
-                             "significance", "version", "duration_s"}
+                             "significance", "version", "numpy", "python", "blas",
+                             "duration_s"}
     assert manifest["command"] == argv[0]
     assert (manifest["restarts"], manifest["seed"]) == ("7", "4")
     assert float(manifest["significance"]) == SIGNIFICANCE
+    assert (manifest["numpy"], manifest["python"]) == (np.__version__, platform.python_version())
+    assert manifest["blas"]
 
 
 def test_tol_default_is_shared():
@@ -174,6 +179,23 @@ def test_includes_labels_fixed_settings_after_party_swap(capsys, tmp_path):
     assert lines[0] == "yes"
     assert "fix A2,A3,A4;" in lines[1]
     assert "swap parties" in lines[1]
+
+
+def test_includes_labels_permuted_sources_after_party_swap(capsys, by_name, tmp_path):
+    # A8 with its Bob settings permuted, against the block of its Bob settings
+    # and Alice setting 1: the witness swaps parties, so the sources of the new
+    # A settings are the disguised inequality's B settings.
+    perm = bs.Transform(False, (0, 1, 2, 3), (3, 4, 0, 2, 1), (False,) * 4, (False,) * 5)
+    disguised = tmp_path / "a8_disguised.cg"
+    disguised.write_text(bs.serialize_cg(bs.apply_transform(by_name("A8"), perm)))
+    block = tmp_path / "a8_block.cg"
+    block.write_text("cg 5 1 0\n-1 -2 0 0 0\n0 1 1 -1 -1 0\n")
+    code, out, _ = run(capsys, "includes", str(disguised), str(block))
+    assert code == 0
+    transform = out.splitlines()[1].split("transform: ")[1]
+    assert transform.startswith("swap parties; A<-(")
+    sources = transform.split("A<-(")[1].split(")")[0].split(",")
+    assert sorted(sources) == ["B1", "B2", "B3", "B4", "B5"]
 
 
 def test_includes_i4422_chsh_no(capsys):

@@ -159,6 +159,15 @@ def test_identity_transform(chsh):
     assert t.is_identity
 
 
+def test_describe_labels_sources_by_party_after_swap():
+    # After a swap, perm_a indexes the swapped inequality, whose A settings
+    # are the original's B settings.
+    t = bs.Transform(True, (1, 0, 2), (1, 0), (False, True, False), (True, False))
+    assert t.describe() == "swap parties; A<-(B2,B1,B3); B<-(A2,A1); flip A2,B1"
+    t = bs.Transform(False, (1, 0), (1, 0, 2), (False, False), (False,) * 3)
+    assert t.describe() == "A<-(A2,A1); B<-(B2,B1,B3)"
+
+
 def test_swap_on_chsh_is_equivalent(chsh):
     t = bs.Transform(True, (0, 1), (0, 1), (False, False), (False, False))
     swapped = bs.apply_transform(chsh, t)

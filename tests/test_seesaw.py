@@ -7,7 +7,7 @@ import pytest
 
 import bellscope as bs
 from bellscope.quantum import Effect, MeasurementSet, random_projective_measurement
-from bellscope.seesaw import (SeesawConfig, _Engine, _initial, multi_restart_max,
+from bellscope.seesaw import (SeesawConfig, _Engine, _initial, _seed_words, multi_restart_max,
                               optimize_party, seesaw)
 
 SQRT2 = np.sqrt(2.0)
@@ -219,6 +219,48 @@ def test_a8_above_table_value_violates(by_name):
 def test_restarts_must_be_at_least_one():
     with pytest.raises(ValueError, match="restarts must be at least 1"):
         SeesawConfig(restarts=0)
+
+
+def test_restart_index_fits_one_seed_word():
+    assert SeesawConfig(restarts=2**32).restarts == 2**32
+    with pytest.raises(ValueError, match="at most 2\\*\\*32"):
+        SeesawConfig(restarts=2**32 + 1)
+
+
+SEEDS = (0, 3, 2**40 + 3, 2**130 + 7)
+STEP_KEYS = ((), (1,), (2, 5))
+RANGES = (range(0, 1), range(1, 3), range(250, 300))
+
+
+def _documented_initial(d, m, restarts, base_seed, step_key):
+    """The start stream as documented, one generator per restart."""
+    ops = []
+    for i in restarts:
+        rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(*step_key, i)))
+        for _ in range(m):
+            rank = 1 + int(rng.integers(d - 1))
+            g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+            q, _ = np.linalg.qr(g)
+            ops.append(q @ q.conj().T)
+    return np.reshape(ops, (len(restarts), m, d, d))
+
+
+@pytest.mark.parametrize("base_seed", SEEDS)
+def test_seed_words_match_seed_sequence(base_seed):
+    for step_key in STEP_KEYS + ((2**33, 1),):
+        for restarts in RANGES + (range(2**32 - 3, 2**32),):
+            want = [np.random.SeedSequence(base_seed, spawn_key=(*step_key, i)).generate_state(
+                4, np.uint64) for i in restarts]
+            assert np.array_equal(_seed_words(base_seed, step_key, restarts), want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("base_seed", SEEDS)
+def test_initial_is_the_documented_stream(d, base_seed):
+    for step_key in STEP_KEYS:
+        for restarts in RANGES:
+            assert np.array_equal(_initial(d, 3, restarts, base_seed, step_key),
+                                  _documented_initial(d, 3, restarts, base_seed, step_key))
 
 
 def test_package_attribute_seesaw_is_the_module():
