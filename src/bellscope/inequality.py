@@ -540,12 +540,14 @@ def includes(a: BellInequality, b: BellInequality):
     to its leading m_a(b) x m_b(b) block (bound included) equals ``b``.
 
     Returns (flag, InclusionWitness or None).  The witness is the first match
-    on ``a``, then on its transpose unless ``a`` is symmetric, in this order:
-    b's rows on signed rows, flips of the free rows, b's columns on signed
-    columns, flips of the free columns.  With flip vectors sa, sb and Bob's
-    weights w under sa, the bound matches when
-    ``bound - sum(marg_a[sa]) - sum(w[sb]) == b.bound``."""
-    for swapped in (False, True):
+    on ``a``, then on its transpose unless ``a`` or ``b`` is symmetric (the
+    transpose holds b exactly where ``a`` holds bᵀ, so it would repeat the
+    failed search and change no witness), in this order: b's rows on signed
+    rows, flips of the free rows, b's columns on signed columns, flips of the
+    free columns.  With flip vectors sa, sb and Bob's weights w under sa, the
+    bound matches when ``bound - sum(marg_a[sa]) - sum(w[sb]) == b.bound``."""
+    b_symmetric = b.marg_a == b.marg_b and b.joint == tuple(zip(*b.joint))
+    for swapped in (False,) if b_symmetric else (False, True):
         x = a.transposed() if swapped else a
         if swapped and x == a:
             break  # symmetric: the swapped branch repeats the search
@@ -557,83 +559,91 @@ def includes(a: BellInequality, b: BellInequality):
 
 def _inclusion_search(x: BellInequality, b: BellInequality):
     """The first match on x as (perm_a, perm_b, flip_a, flip_b), or None."""
-    start = [[(c, t) for c in range(x.m_b) for t in (False, True)]] * b.m_b
-    for rows, cands in _place_rows(x, b, (), start):
+    evens = ((1 << 2 * x.m_b) - 1) // 3  # bits 2c; candidate bit 2c + t is column c, flip t
+    for rows, cands in _place_rows(x, b, (), [3 * evens] * b.m_b, [None] * x.m_a, evens):
         perm_a = [r for r, _ in rows]
         perm_a += [r for r in range(x.m_a) if r not in perm_a]
         for free_a in itertools.product((False, True), repeat=x.m_a - b.m_a):
             flip_a = tuple(s for _, s in rows) + free_a
             sa = tuple(f for _, f in sorted(zip(perm_a, flip_a)))
             w = _weights(x, sa)
-            fits = _narrow(cands, w, b.marg_b)
+            need = x.bound - sum(itertools.compress(x.marg_a, sa)) - b.bound
+            fits = _narrow(cands, _value_masks(w), b.marg_b, evens)
             for cols in _place_cols(fits, ()) if fits else ():
                 perm_b = [c for c, _ in cols]
                 perm_b += [c for c in range(x.m_b) if c not in perm_b]
                 for free_b in itertools.product((False, True), repeat=x.m_b - b.m_b):
                     flip_b = tuple(t for _, t in cols) + free_b
                     sb = tuple(f for _, f in sorted(zip(perm_b, flip_b)))
-                    if (x.bound - sum(itertools.compress(x.marg_a, sa))
-                            - sum(itertools.compress(w, sb)) == b.bound
+                    if (sum(itertools.compress(w, sb)) == need
                             and all((x.marg_a[r] + sum(itertools.compress(x.joint[r], sb)))
                                     * (-1 if s else 1) == v for (r, s), v in zip(rows, b.marg_a))):
                         return tuple(perm_a), tuple(perm_b), flip_a, flip_b
     return None
 
 
-def _place_rows(x: BellInequality, b: BellInequality, rows: tuple, cands: list):
+def _value_masks(v: tuple) -> dict[int, int]:
+    """Each value mapped to its bits: 2c where ``v[c]`` has it, 2c + 1 where ``-v[c]`` does."""
+    masks: dict[int, int] = {}
+    bit = 1
+    for val in v:
+        masks[val] = masks.get(val, 0) | bit
+        masks[-val] = masks.get(-val, 0) | bit << 1
+        bit <<= 2
+    return masks
+
+
+def _place_rows(x: BellInequality, b: BellInequality, rows: tuple, cands: list, masks, evens):
     """Yield each placement ``rows[i] = (r, flip)`` of b's rows on distinct rows
-    of x, depth first, with ``cands[j]`` the (column, flip) pairs that fit."""
+    of x, depth first, with ``cands[j]`` the bits that fit; ``masks`` caches rows."""
     if len(rows) == b.m_a:
         yield rows, cands
         return
     targets = b.joint[len(rows)], tuple(-v for v in b.joint[len(rows)])  # flipped: -b's row
     used = {r for r, _ in rows}
     for r, s in itertools.product([r for r in range(x.m_a) if r not in used], (False, True)):
-        nxt = _narrow(cands, x.joint[r], targets[s])
+        masks[r] = masks[r] or _value_masks(x.joint[r])
+        nxt = _narrow(cands, masks[r], targets[s], evens)
         if nxt:
-            yield from _place_rows(x, b, rows + ((r, s),), nxt)
+            yield from _place_rows(x, b, rows + ((r, s),), nxt, masks, evens)
 
 
-def _place_cols(cands: list, cols: tuple):
-    """Yield each choice of one pair per entry of ``cands`` on distinct columns."""
+def _place_cols(cands: list, cols: tuple, used: int = 0):
+    """Yield each choice of one bit per entry of ``cands`` on distinct columns."""
     if len(cols) == len(cands):
         yield cols
         return
-    used = {c for c, _ in cols}
-    for c, t in cands[len(cols)]:
-        if c not in used:
-            yield from _place_cols(cands, cols + ((c, t),))
+    free = cands[len(cols)] & ~used
+    for k in range(free.bit_length()):
+        if free >> k & 1:
+            yield from _place_cols(cands, cols + ((k >> 1, k & 1),), used | 3 << (k & ~1))
 
 
-def _narrow(cands: list, v: tuple, target: tuple) -> Optional[list]:
-    """Per target column j, the pairs (c, flip) with ``v[c]``, negated when
-    flipped, equal to ``target[j]``; None once a column runs empty or the
-    columns admit no distinct choice."""
-    out = []
-    for pairs, want in zip(cands, target):
-        keep = [(c, t) for c, t in pairs if (-v[c] if t else v[c]) == want]
-        if not keep:
-            return None
-        out.append(keep)
-    return out if _matchable(out) else None
+def _narrow(cands: list, masks: dict, target: tuple, evens: int) -> Optional[list]:
+    """Per target column j, the bits of ``cands[j]`` whose signed value is
+    ``target[j]``; None once no distinct choice of columns is left."""
+    out = [m & masks.get(want, 0) for m, want in zip(cands, target)]
+    return out if all(out) and _matchable(out, evens) else None
 
 
-def _matchable(cands: list[list[tuple[int, bool]]]) -> bool:
-    """Whether every candidate list can take a distinct column (augmenting
-    paths, exact)."""
-    match: dict[int, int] = {}
+def _matchable(cands: list, evens: int) -> bool:
+    """Whether every candidate set can take a distinct column (augmenting paths)."""
+    cols = [(m | m >> 1) & evens for m in cands]
+    owner: dict[int, int] = {}
 
-    def augment(j, seen):
-        for c, _ in cands[j]:
-            if c not in seen:
-                seen.add(c)
-                if c not in match or augment(match[c], seen):
-                    match[c] = j
-                    return True
+    def augment(j):
+        nonlocal seen
+        while free := cols[j] & ~seen:
+            bit = free & -free
+            seen |= bit
+            if bit not in owner or augment(owner[bit]):
+                owner[bit] = j
+                return True
         return False
 
-    for j in range(len(cands)):
-        if not augment(j, set()):
+    for j in range(len(cols)):
+        seen = 0
+        if not augment(j):
             return False
     return True
 

@@ -449,6 +449,23 @@ def _plus_transpose(ineq):
     return bs.BellInequality(marg, marg, joint, 2 * ineq.bound)
 
 
+def _brute_includes(a, b):
+    """Oracle: scan both orientations of ``a`` and every relabeling for a
+    leading block equal to ``b``."""
+    for x in (a, a.transposed()):
+        if x.m_a < b.m_a or x.m_b < b.m_b:
+            continue
+        for t in _all_transforms(x.m_a, x.m_b):
+            if t.swap_parties:
+                continue
+            y = bs.apply_transform(x, t)
+            if (y.bound == b.bound and y.marg_a[:b.m_a] == b.marg_a
+                    and y.marg_b[:b.m_b] == b.marg_b
+                    and tuple(r[:b.m_b] for r in y.joint[:b.m_a]) == b.joint):
+                return True
+    return False
+
+
 def test_includes_against_group_enumeration():
     """Oracle: includes() agrees with scanning the whole orbit for a matching
     leading block, on planted-positive and random instances, and its witness
@@ -456,23 +473,6 @@ def test_includes_against_group_enumeration():
     unswapped and the swapped branch; every third square instance is
     symmetric, so the swapped branch is skipped."""
     rng = np.random.default_rng(100)
-
-    def brute_includes(a, b):
-        for x in (a, a.transposed()):
-            if x.m_a < b.m_a or x.m_b < b.m_b:
-                continue
-            for pa, pb, fa, fb in itertools.product(
-                    itertools.permutations(range(x.m_a)), itertools.permutations(range(x.m_b)),
-                    itertools.product((False, True), repeat=x.m_a),
-                    itertools.product((False, True), repeat=x.m_b)):
-                y = bs.apply_transform(x, bs.Transform(False, pa, pb, fa, fb))
-                if (y.bound == b.bound
-                        and y.marg_a[:b.m_a] == b.marg_a
-                        and y.marg_b[:b.m_b] == b.marg_b
-                        and tuple(r[:b.m_b] for r in y.joint[:b.m_a]) == b.joint):
-                    return True
-        return False
-
     shapes = (((2, 3), (2, 2)), ((3, 3), (2, 2)), ((3, 2), (1, 2)), ((2, 2), (1, 1)))
     for span, ((m_a, m_b), (n_a, n_b)) in itertools.product((1, 2), shapes):
         for trial in range(10):
@@ -486,7 +486,7 @@ def test_includes_against_group_enumeration():
                                       tuple(r[:n_b] for r in y.joint[:n_a]), y.bound)
             else:
                 b = _random_small_ineq(rng, n_a, n_b, span)
-            expected = brute_includes(a, b)
+            expected = _brute_includes(a, b)
             flag, witness = bs.includes(a, b)
             assert flag == expected
             if trial % 2 == 0:
@@ -495,6 +495,127 @@ def test_includes_against_group_enumeration():
                 y = bs.apply_transform(a, witness.transform)
                 assert (y.bound, y.marg_a[:n_a], y.marg_b[:n_b]) == (b.bound, b.marg_a, b.marg_b)
                 assert tuple(r[:n_b] for r in y.joint[:n_a]) == b.joint
+
+
+def _plant(a, b):
+    """``a`` with its leading block (marginals, joint, bound) replaced by ``b``."""
+    joint = tuple(b.joint[i] + row[b.m_b:] if i < b.m_a else row
+                  for i, row in enumerate(a.joint))
+    return bs.BellInequality(b.marg_a + a.marg_a[b.m_a:], b.marg_b + a.marg_b[b.m_b:],
+                             joint, b.bound)
+
+
+def test_includes_symmetric_target_against_group_enumeration(monkeypatch):
+    """A symmetric target is searched in one orientation of ``a`` only.  The
+    oracle scans both, so agreement shows the skipped branch never held the
+    only match; planted blocks reach ``a`` by every shape and orientation,
+    party swaps included, and their witnesses must yield the block."""
+    rng = np.random.default_rng(101)
+    searches = []
+    search = bs.inequality._inclusion_search
+    monkeypatch.setattr(bs.inequality, "_inclusion_search",
+                        lambda x, b: searches.append(x) or search(x, b))
+    shapes = (((3, 3), 2), ((2, 3), 2), ((3, 2), 2), ((3, 3), 1), ((2, 2), 2))
+    planted = negatives = 0
+    for span, ((m_a, m_b), n) in itertools.product((1, 2), shapes):
+        for trial in range(6):
+            b = _plus_transpose(_random_small_ineq(rng, n, n, span))
+            a = _random_small_ineq(rng, m_a, m_b, span)
+            if trial % 2 == 0:
+                a = bs.apply_transform(_plant(a, b), random_transform(m_a, m_b, rng))
+                if trial % 4 == 0:
+                    a = a.transposed()
+            assert a != a.transposed()  # only the target is symmetric
+            searches.clear()
+            flag, witness = bs.includes(a, b)
+            assert flag == _brute_includes(a, b)
+            assert len(searches) == 1
+            if trial % 2 == 0:
+                assert flag  # planted cases must be true inclusions
+                planted += 1
+            if not flag:
+                negatives += 1
+                continue
+            y = bs.apply_transform(a, witness.transform)
+            assert (y.bound, y.marg_a[:n], y.marg_b[:n]) == (b.bound, b.marg_a, b.marg_b)
+            assert tuple(r[:n] for r in y.joint[:n]) == b.joint
+    assert (planted, negatives) == (30, 30)
+
+
+# includes(x, y) over the shipped catalog: (x, y, kept_a, kept_b, transform
+# text) for every positive pair; every other ordered pair is negative.
+CATALOG_INCLUSIONS = (
+    ("A1", "A1", 1, 1, "identity"),
+    ("A2_CHSH", "A1", 1, 1, "B<-(B2,B1); flip B1"),
+    ("A2_CHSH", "A2_CHSH", 2, 2, "identity"),
+    ("A3_I3322", "A1", 1, 1, "B<-(B3,B1,B2); flip B1"),
+    ("A3_I3322", "A2_CHSH", 2, 2, "B<-(B2,B3,B1)"),
+    ("A3_I3322", "A3_I3322", 3, 3, "identity"),
+    ("A5", "A1", 1, 1, "B<-(B3,B1,B2,B4); flip A3,B4"),
+    ("A5", "A2_CHSH", 2, 2, "B<-(B1,B3,B2,B4); flip A3,B2,B4"),
+    ("A5", "A3_I3322", 3, 3, "A<-(A1,A2,A4,A3); B<-(B2,B3,B1,B4); flip A2,A4,B2,B4"),
+    ("A5", "A5", 4, 4, "identity"),
+    ("A8", "A1", 1, 1, "B<-(B3,B1,B2,B4,B5)"),
+    ("A8", "A2_CHSH", 2, 2, "B<-(B1,B3,B2,B4,B5); flip B2"),
+    ("A8", "A3_I3322", 3, 3, "A<-(A1,A2,A4,A3); B<-(B2,B1,B3,B4,B5); flip B3"),
+    ("A8", "A8", 4, 5, "identity"),
+    ("A27", "A1", 1, 1, "B<-(B2,B1,B3,B4,B5); flip B1"),
+    ("A27", "A2_CHSH", 2, 2, "B<-(B1,B4,B2,B3,B5); flip A3,A4,B2,B4,B5"),
+    ("A27", "A27", 5, 5, "identity"),
+    ("A28", "A1", 1, 1, "B<-(B4,B1,B2,B3,B5); flip B1,B5"),
+    ("A28", "A2_CHSH", 2, 2, "B<-(B3,B5,B1,B2,B4); flip B5"),
+    ("A28", "A28", 5, 5, "identity"),
+    ("A56", "A1", 1, 1, "B<-(B2,B1,B3,B4,B5); flip B1"),
+    ("A56", "A2_CHSH", 2, 2, "A<-(A1,A3,A2,A4,A5); B<-(B4,B2,B1,B3,B5); flip A3"),
+    ("A56", "A56", 5, 5, "identity"),
+    ("I4422_1", "A1", 1, 1, "B<-(B3,B1,B2,B4); flip A4,B1,B2"),
+    ("I4422_1", "I4422_1", 4, 4, "identity"),
+    ("I4422_2", "A1", 1, 1, "B<-(B4,B1,B2,B3); flip B1"),
+    ("I4422_2", "I4422_2", 4, 4, "identity"),
+)
+
+
+def test_includes_catalog_witnesses_pinned(catalog):
+    """The flag of every ordered catalog pair and the witness of every
+    positive one are pinned: the search's visiting order decides which
+    witness comes first."""
+    expected = {(x, y): rest for x, y, *rest in CATALOG_INCLUSIONS}
+    seen = {}
+    for x in catalog:
+        for y in catalog:
+            flag, witness = bs.includes(x.inequality, y.inequality)
+            if flag:
+                seen[x.name, y.name] = [witness.kept_a, witness.kept_b,
+                                        witness.transform.describe()]
+    assert len(catalog) ** 2 == 100
+    assert seen == expected
+
+
+def test_includes_past_64_bit_candidate_masks(chsh):
+    """Candidate sets hold two bits per Bob setting, so 40 settings need 80.
+    CHSH under a random relabeling sits at Bob settings 35 and 38; the other
+    joint coefficients have |value| >= 2, so no other pair of settings can
+    host it."""
+    rng = np.random.default_rng(40)
+    block = bs.apply_transform(chsh, random_transform(2, 2, rng, allow_swap=False))
+    cols = {35: 0, 38: 1}
+    marg_b = tuple(block.marg_b[cols[j]] if j in cols else int(rng.integers(-3, 4))
+                   for j in range(40))
+    joint = tuple(tuple(row[cols[j]] if j in cols else int(rng.choice((-3, -2, 2, 3)))
+                        for j in range(40)) for row in block.joint)
+    wide = bs.BellInequality(block.marg_a, marg_b, joint, block.bound)
+    flag, witness = bs.includes(wide, chsh)
+    assert flag
+    assert sorted(witness.transform.perm_b[:2]) == [35, 38]
+    y = bs.apply_transform(wide, witness.transform)
+    assert (y.bound, y.marg_a, y.marg_b[:2]) == (chsh.bound, chsh.marg_a, chsh.marg_b)
+    assert tuple(r[:2] for r in y.joint) == chsh.joint
+
+    # One planted joint coefficient negated: the product of the block's four
+    # joint signs, which relabelings keep, no longer matches CHSH's.
+    joint = (joint[0][:35] + (-joint[0][35],) + joint[0][36:],) + joint[1:]
+    broken = bs.BellInequality(block.marg_a, marg_b, joint, block.bound)
+    assert bs.includes(broken, chsh) == (False, None)
 
 
 # ---------------------------------------------------------------------------
