@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -37,7 +38,8 @@ class CatalogEntry:
     def measurements(self) -> tuple[MeasurementSet, MeasurementSet]:
         if self.meas_path is None:
             raise ValueError(f"no measurement data shipped for {self.name}")
-        return load_measurements(self.meas_path, self.inequality.m_a, self.inequality.m_b)
+        with _naming(self.meas_path):
+            return load_measurements(self.meas_path, self.inequality.m_a, self.inequality.m_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,19 +65,31 @@ def _natural_key(name: str):
     return [int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name)]
 
 
+@contextmanager
+def _naming(path: Path):
+    """Name ``path`` at the end of any ValueError raised while reading it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{exc} (in {path})") from exc
+
+
 def _read_table(path: Path) -> dict[str, tuple[Optional[float], Optional[str]]]:
     table = {}
     if not path.exists():
         return table
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        cells = line.split("\t")
-        name = cells[0]
-        alpha = float(cells[1]) if len(cells) > 1 and cells[1].strip() else None
-        facet = cells[2].strip() if len(cells) > 2 and cells[2].strip() else None
-        table[name] = (alpha, facet)
+    with _naming(path):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            cells = line.split("\t")
+            try:
+                alpha = float(cells[1]) if len(cells) > 1 and cells[1].strip() else None
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            facet = cells[2].strip() if len(cells) > 2 and cells[2].strip() else None
+            table[cells[0]] = (alpha, facet)
     return table
 
 
@@ -87,7 +101,8 @@ def load_catalog(directory=None) -> list[CatalogEntry]:
     table = _read_table(directory / "table1.tsv")
     entries = []
     for path in sorted(directory.glob("*.cg"), key=lambda p: _natural_key(p.stem)):
-        ineq = load_cg(path)
+        with _naming(path):
+            ineq = load_cg(path)
         name = path.stem
         alias = None
         m = re.fullmatch(r"(A\d+)_(\w+)", name)

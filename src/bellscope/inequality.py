@@ -362,42 +362,6 @@ def xor_game_form(ineq: BellInequality) -> Optional[tuple[tuple[Fraction, ...], 
 # Canonical form, equivalence
 
 
-def _canonical_scan(x: BellInequality, outcome_flips: bool = True):
-    """Minimal (bound, sorted marg_a, sorted marg_b) over all flip subsets,
-    returning the flip subsets achieving it together with their value vectors.
-    With ``outcome_flips`` off only the empty flip subset is visited.
-
-    The minimal bound is reached exactly on the optimal deterministic
-    strategies (see ``canonical_form``), where every flipped value is minus
-    an absolute value; Bob's response branches only where his weight is 0.
-    """
-    m_a, m_b = x.m_a, x.m_b
-    if not outcome_flips:
-        prefix = (x.bound, tuple(sorted(x.marg_a)), tuple(sorted(x.marg_b)))
-        return prefix, [((False,) * m_a, (False,) * m_b, x.marg_a, x.marg_b)]
-    responses = list(_best_responses(x))
-    top = max(value for _, _, value in responses)
-    best_prefix = None
-    pool = []
-    for sa, w, value in responses:
-        if value != top:
-            continue
-        v_b = tuple(-abs(v) for v in w)
-        free = [j for j in range(m_b) if w[j] == 0]
-        for choice in itertools.product((False, True), repeat=len(free)):
-            picks = dict(zip(free, choice))
-            sb = tuple(picks.get(j, w[j] > 0) for j in range(m_b))
-            v_a = tuple(-abs(m + sum(itertools.compress(row, sb)))
-                        for m, row in zip(x.marg_a, x.joint))
-            prefix = (x.bound - top, tuple(sorted(v_a)), tuple(sorted(v_b)))
-            if best_prefix is None or prefix < best_prefix:
-                best_prefix = prefix
-                pool = [(sa, sb, v_a, v_b)]
-            elif prefix == best_prefix:
-                pool.append((sa, sb, v_a, v_b))
-    return best_prefix, pool
-
-
 def _groups_by_value(values: tuple[int, ...]) -> list[list[int]]:
     """Indices grouped by ascending value; group order gives the sorted tuple."""
     order = sorted(range(len(values)), key=lambda k: values[k])
@@ -463,40 +427,50 @@ def _min_matrix(mat, row_groups, col_groups):
 @lru_cache(maxsize=4096)
 def _canonical_with_transform(ineq: BellInequality, outcome_flips: bool = True
                               ) -> tuple[BellInequality, Transform]:
-    # Only the swap branch whose (m_a, m_b) is lexicographically minimal can
-    # host the canonical form; with equal setting counts both branches run.
-    if ineq.m_a < ineq.m_b:
-        variants = [(False, ineq)]
-    elif ineq.m_a > ineq.m_b:
-        variants = [(True, ineq.transposed())]
+    # The form has m_a <= m_b, so one walk on the smaller party's side finds
+    # every candidate.  The minimal bound is reached exactly on the optimal
+    # deterministic strategies (see canonical_form); flipped there, every
+    # marginal is minus an absolute value, and Bob's response branches only
+    # where his weight is 0.  Without outcome flips the walk is the empty flip.
+    swapped = ineq.m_a > ineq.m_b
+    x = ineq.transposed() if swapped else ineq
+    if outcome_flips:
+        responses = list(_best_responses(x))
+        top = max(value for _, _, value in responses)
+        walk = [(sa, sb, tuple(-abs(m + sum(itertools.compress(row, sb)))
+                               for m, row in zip(x.marg_a, x.joint)), tuple(-abs(v) for v in w))
+                for sa, w, value in responses if value == top
+                for sb in itertools.product(*[(v > 0,) if v else (False, True) for v in w])]
     else:
-        variants = [(False, ineq), (True, ineq.transposed())]
-
-    best_key = None
+        top, walk = 0, [((False,) * x.m_a, (False,) * x.m_b, x.marg_a, x.marg_b)]
+    # On a square input each strategy also competes with the parties
+    # exchanged: flips and marginals swapped, signed joint transposed.  Sorted
+    # candidates put the minimal (sorted marg_a, sorted marg_b) prefix first.
+    cands = []
+    for sa, sb, v_a, v_b in walk:
+        cands.append((tuple(sorted(v_a)), tuple(sorted(v_b)), swapped, sa, sb, v_a, v_b))
+        if x.m_a == x.m_b:
+            cands.append((tuple(sorted(v_b)), tuple(sorted(v_a)), True, sb, sa, v_b, v_a))
+    cands.sort()
+    joints = {swapped: x.joint, not swapped: tuple(zip(*x.joint))}
     best = None
-    for swapped, x in variants:
-        prefix, pool = _canonical_scan(x, outcome_flips)
-        if best_key is not None and prefix > best_key[:3]:
+    seen = set()  # distinct strategies often yield identical candidates
+    for sorted_va, sorted_vb, swap, sa, sb, v_a, v_b in cands:
+        if (sorted_va, sorted_vb) != cands[0][:2]:
+            break
+        mat = tuple(tuple(-v if fa ^ fb else v for fb, v in zip(sb, row))
+                    for fa, row in zip(sa, joints[swap]))
+        if (mat, v_a, v_b) in seen:
             continue
-        seen = set()  # distinct flip subsets often yield identical candidates
-        for sa, sb, v_a, v_b in pool:
-            mat = tuple(tuple((x.joint[i][j] * (-1 if sa[i] else 1) * (-1 if sb[j] else 1))
-                              for j in range(x.m_b)) for i in range(x.m_a))
-            if (mat, v_a, v_b) in seen:
-                continue
-            seen.add((mat, v_a, v_b))
-            rows, row_order, col_order = _min_matrix(mat, _groups_by_value(v_a),
-                                                     _groups_by_value(v_b))
-            key = prefix + (rows,)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (swapped, sa, sb, rows, row_order, col_order)
+        seen.add((mat, v_a, v_b))
+        rows, row_order, col_order = _min_matrix(mat, _groups_by_value(v_a),
+                                                 _groups_by_value(v_b))
+        if best is None or rows < best[0]:
+            best = (rows, swap, sa, sb, row_order, col_order)
 
-    swapped, sa, sb, rows, row_order, col_order = best
-    bound, sorted_va, sorted_vb = best_key[0], best_key[1], best_key[2]
-    canon = BellInequality(sorted_va, sorted_vb, rows, bound)
-    t = Transform(swapped,
-                  tuple(row_order), tuple(col_order),
+    rows, swap, sa, sb, row_order, col_order = best
+    canon = BellInequality(cands[0][0], cands[0][1], rows, x.bound - top)
+    t = Transform(swap, row_order, col_order,
                   tuple(sa[r] for r in row_order), tuple(sb[c] for c in col_order))
     return canon, t
 

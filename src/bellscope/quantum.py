@@ -168,11 +168,24 @@ def isotropic_state(d: int, alpha: float) -> DensityMatrix:
 # Correlations and violations
 
 
+def check_measurements(d: int, sets: dict, ineq: Optional[BellInequality] = None) -> None:
+    """Raise unless each ``sets[party]`` holds that party's effects on a d x d
+    state, one per setting of ``ineq`` when given.  Counts are checked first,
+    then dimensions, then the sets' party labels."""
+    if ineq is not None and any(len(s) != (ineq.m_a if p == PARTY_A else ineq.m_b)
+                                for p, s in sets.items()):
+        raise ValueError("measurement counts do not match the inequality")
+    if any(s.d != d for s in sets.values()):
+        raise ValueError(f"measurement dimension does not match state dimension {d}")
+    for party, s in sets.items():
+        if s.party != party:
+            raise ValueError(f"party {party}'s measurements are labelled {s.party}")
+
+
 def correlations(rho: DensityMatrix, a: MeasurementSet, b: MeasurementSet) -> CorrelationVector:
     """q_i0 = tr(rho (E_i x I)), q_0j = tr(rho (I x F_j)), q_ij = tr(rho (E_i x F_j))."""
     d = rho.d
-    if a.d != d or b.d != d:
-        raise ValueError(f"measurement dimension does not match state dimension {d}")
+    check_measurements(d, {PARTY_A: a, PARTY_B: b})
     rho4 = rho.op.reshape(d, d, d, d)
     es = a.ops()
     fs = b.ops()
@@ -188,8 +201,7 @@ def correlations(rho: DensityMatrix, a: MeasurementSet, b: MeasurementSet) -> Co
 def violation(ineq: BellInequality, rho: DensityMatrix, a: MeasurementSet,
               b: MeasurementSet) -> float:
     """Value of the inequality's left side minus its bound; positive violates."""
-    if len(a) != ineq.m_a or len(b) != ineq.m_b:
-        raise ValueError("measurement counts do not match the inequality")
+    check_measurements(rho.d, {PARTY_A: a, PARTY_B: b}, ineq)
     q = correlations(rho, a, b)
     joint = np.asarray(ineq.joint, dtype=float)
     total = (np.dot(ineq.marg_a, q.p_a) + np.dot(ineq.marg_b, q.p_b)
@@ -251,10 +263,7 @@ def alpha_crossing(ineq: BellInequality, d: int, a: MeasurementSet,
     For fixed measurements the violation is affine in alpha, so the crossing
     is alpha* = -v0 / (v1 - v0) from the endpoint values alone.
     """
-    if len(a) != ineq.m_a or len(b) != ineq.m_b:
-        raise ValueError("measurement counts do not match the inequality")
-    if a.d != d or b.d != d:
-        raise ValueError(f"measurement dimension does not match state dimension {d}")
+    check_measurements(d, {PARTY_A: a, PARTY_B: b}, ineq)
     v0, v1 = (float(v) for v in _isotropic_endpoints(ineq, a.ops(), b.ops()))
     if v1 == v0:
         raise ValueError("degenerate measurements: violation does not depend on alpha")

@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .inequality import BellInequality, PARTY_A, PARTY_B
-from .quantum import EIG_CUTOFF, SEESAW_TOL, DensityMatrix, Effect, MeasurementSet
+from .quantum import (EIG_CUTOFF, SEESAW_TOL, DensityMatrix, Effect, MeasurementSet,
+                      check_measurements)
 
 # Restarts run in chunks of 1, 2, 4, ... up to this size; restart 0 runs alone.
 MAX_CHUNK = 256
@@ -183,12 +184,9 @@ def optimize_party(ineq: BellInequality, rho: DensityMatrix, fixed: MeasurementS
                    party: str) -> MeasurementSet:
     """One exact half-step: the given party's optimal projective effects with
     the other party's measurements fixed."""
-    if fixed.d != rho.d:
-        raise ValueError("fixed measurements do not match the state dimension")
     if party not in (PARTY_A, PARTY_B):
         raise ValueError(f"party must be {PARTY_A!r} or {PARTY_B!r}")
-    if len(fixed) != (ineq.m_b if party == PARTY_A else ineq.m_a):
-        raise ValueError(f"fixed set must hold the other party's effects when optimizing {party}")
+    check_measurements(rho.d, {PARTY_B if party == PARTY_A else PARTY_A: fixed}, ineq)
     return _package(party, _project(_Engine(ineq, rho).operators(party, fixed.ops())))
 
 
@@ -215,10 +213,7 @@ def multi_restart_max(ineq: BellInequality, rho: DensityMatrix, cfg: SeesawConfi
     """
     if warm_start is not None:
         init_a, init_b = warm_start
-        if len(init_a) != ineq.m_a or len(init_b) != ineq.m_b:
-            raise ValueError("initial measurement counts do not match the inequality")
-        if init_a.d != rho.d or init_b.d != rho.d:
-            raise ValueError("initial measurements do not match the state dimension")
+        check_measurements(rho.d, {PARTY_A: init_a, PARTY_B: init_b}, ineq)
     eng = _Engine(ineq, rho)
     best = None  # (violation, index, es, fs, iters, converged)
     lo = 0

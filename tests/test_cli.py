@@ -306,6 +306,32 @@ def test_malformed_measurement_file_exits_3(capsys, tmp_path, by_name):
     assert "error: line 2:" in err
 
 
+def test_malformed_catalog_inequality_names_its_file(capsys, tmp_path):
+    (tmp_path / "A2_CHSH.cg").write_text("cg 2 2 0\n-1 0\n-1 x 1\n0 1 -1\n")
+    code, _, err = run(capsys, "graph", "--catalog", str(tmp_path))
+    assert code == 3
+    assert err == f"error: line 3: non-integer coefficient 'x' (in {tmp_path / 'A2_CHSH.cg'})\n"
+
+
+def test_malformed_catalog_measurements_name_their_file(capsys, tmp_path, by_name):
+    (tmp_path / "A5.cg").write_text(bs.serialize_cg(by_name("A5")))
+    (tmp_path / "A5.meas").write_text("effect A 1 proj\n0.5 0 zero 0 0 0\n")
+    code, _, err = run(capsys, "verify-appendix", "--catalog", str(tmp_path), "--name", "A5")
+    assert code == 3
+    assert err.startswith("error: line 2: ")
+    assert err.endswith(f" (in {tmp_path / 'A5.meas'})\n")
+
+
+def test_malformed_catalog_table_names_its_file_and_line(capsys, tmp_path):
+    (tmp_path / "A2_CHSH.cg").write_text("cg 2 2 0\n-1 0\n-1 1 1\n0 1 -1\n")
+    (tmp_path / "table1.tsv").write_text("name\talpha_max\tcut_facet\n\n"
+                                         "A2_CHSH\t0.75x\ttriangle\n")
+    code, _, err = run(capsys, "graph", "--catalog", str(tmp_path))
+    assert code == 3
+    assert err == ("error: line 3: could not convert string to float: '0.75x' "
+                   f"(in {tmp_path / 'table1.tsv'})\n")
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["violate", "--d", "3"])  # --ineq missing

@@ -424,21 +424,25 @@ def _random_small_ineq(rng, m_a, m_b, span=2):
 
 
 def test_canonical_form_against_group_enumeration():
-    """Oracle: the canonical form is the key-minimal element of the full orbit.
-    Coefficients from {-1, 0, 1} make many optimal strategies and zero weights,
-    so the scan's tie branches are exercised."""
+    """Oracle: the canonical form is the key-minimal element of the full orbit,
+    and with ``outcome_flips=False`` of the orbit's flip-free part; the
+    returned transform maps the input onto its form.  Coefficients from
+    {-1, 0, 1} make many optimal strategies and zero weights, so the walk's
+    tie branches are exercised; the (3, 2) shape is walked from its smaller
+    side after a transpose."""
     rng = np.random.default_rng(99)
-    for span, (m_a, m_b) in itertools.product((2, 1), ((2, 2), (2, 3), (3, 3))):
+    shapes = ((2, 2), (2, 3), (3, 2), (3, 3))
+    for span, (m_a, m_b) in itertools.product((2, 1), shapes):
         for _ in range(8):
             ineq = _random_small_ineq(rng, m_a, m_b, span)
-            orbit_min = min(bs.apply_transform(ineq, t).key()
-                            for t in _all_transforms(m_a, m_b))
-            if m_a != m_b:  # swap branch enumerated separately
-                swapped = ineq.transposed()
-                orbit_min = min(orbit_min,
-                                min(bs.apply_transform(swapped, t).key()
-                                    for t in _all_transforms(m_b, m_a)))
-            assert bs.canonical_form(ineq).key() == orbit_min
+            # _all_transforms swaps square shapes only; the transpose covers the rest.
+            sources = (ineq,) if m_a == m_b else (ineq, ineq.transposed())
+            orbit = [(any(t.flip_a + t.flip_b), bs.apply_transform(x, t).key())
+                     for x in sources for t in _all_transforms(x.m_a, x.m_b)]
+            for flips in (True, False):
+                form, t = bs.inequality._canonical_with_transform(ineq, flips)
+                assert form.key() == min(key for flipped, key in orbit if flips or not flipped)
+                assert bs.apply_transform(ineq, t) == form
 
 
 def _plus_transpose(ineq):

@@ -306,6 +306,24 @@ def test_warm_start_sets_are_checked(by_name):
         multi_restart_max(ineq, rho, SeesawConfig(restarts=2), warm_start=swapped)
 
 
+def test_party_labels_are_checked(chsh):
+    """CHSH is square, so swapped sets pass the count and dimension checks;
+    every entry point must still reject them by their party labels."""
+    rho = bs.isotropic_state(2, 1.0)
+    cfg = SeesawConfig(restarts=1)
+    res = multi_restart_max(chsh, rho, cfg)
+    a, b = res.best_a, res.best_b
+    calls = (lambda: bs.correlations(rho, b, a),
+             lambda: bs.violation(chsh, rho, b, a),
+             lambda: bs.alpha_crossing(chsh, 2, b, a),
+             lambda: optimize_party(chsh, rho, a, "A"),
+             lambda: seesaw(chsh, rho, b, a, cfg),
+             lambda: multi_restart_max(chsh, rho, cfg, warm_start=(b, a)))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^party [AB]'s measurements are labelled [AB]$"):
+            call()
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "A56 includes CHSH, so it is violated at d=2 for every alpha above 1/sqrt(2); "
     "rank-1-only random starts at d=2 never try the zero or identity effects "
