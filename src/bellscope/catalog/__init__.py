@@ -20,6 +20,7 @@ from ..inequality import BellInequality, load_cg
 from ..quantum import MeasurementSet, alpha_crossing, load_measurements
 
 APPENDIX_NAMES = ("A28", "A27", "A5", "A56", "A8")
+_SERIAL_ALIAS = re.compile(r"(A\d+)_(\w+)")  # e.g. A2_CHSH: serial name A2, alias CHSH
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,25 +94,34 @@ def _read_table(path: Path) -> dict[str, tuple[Optional[float], Optional[str]]]:
     return table
 
 
-def load_catalog(directory=None) -> list[CatalogEntry]:
-    """All inequalities of a catalog directory in natural name order."""
+def _scan(directory) -> tuple[Path, list[Path]]:
     directory = Path(directory) if directory is not None else default_catalog_dir()
     if not directory.is_dir():
         raise FileNotFoundError(f"catalog directory {directory} does not exist")
+    return directory, sorted(directory.glob("*.cg"), key=lambda p: _natural_key(p.stem))
+
+
+def _keys(name: str) -> set[str]:
+    """An entry's lookup keys: full name, serial name and alias, lower-cased."""
+    m = _SERIAL_ALIAS.fullmatch(name)
+    return {k.lower() for k in (name, *(m.groups() if m else ()))}
+
+
+def _read_entry(path: Path, table) -> CatalogEntry:
+    with _naming(path):
+        ineq = load_cg(path)
+    m = _SERIAL_ALIAS.fullmatch(path.stem)
+    alpha, facet = table.get(path.stem, (None, None))
+    meas = path.with_suffix(".meas")
+    return CatalogEntry(path.stem, m.group(2) if m else None, ineq, alpha, facet,
+                        meas if meas.exists() else None)
+
+
+def load_catalog(directory=None) -> list[CatalogEntry]:
+    """All inequalities of a catalog directory in natural name order."""
+    directory, paths = _scan(directory)
     table = _read_table(directory / "table1.tsv")
-    entries = []
-    for path in sorted(directory.glob("*.cg"), key=lambda p: _natural_key(p.stem)):
-        with _naming(path):
-            ineq = load_cg(path)
-        name = path.stem
-        alias = None
-        m = re.fullmatch(r"(A\d+)_(\w+)", name)
-        if m:
-            alias = m.group(2)
-        alpha, facet = table.get(name, (None, None))
-        meas = path.with_suffix(".meas")
-        entries.append(CatalogEntry(name, alias, ineq, alpha, facet,
-                                    meas if meas.exists() else None))
+    entries = [_read_entry(path, table) for path in paths]
     if not entries:
         raise FileNotFoundError(f"no .cg files in catalog directory {directory}")
     return entries
@@ -119,20 +129,25 @@ def load_catalog(directory=None) -> list[CatalogEntry]:
 
 def find_entry(entries: list[CatalogEntry], key: str) -> CatalogEntry:
     """Look an entry up by full name, serial name, or alias (case-insensitive)."""
-    want = key.lower()
     for e in entries:
-        candidates = {e.name.lower(), e.short_name.lower()}
-        if e.alias:
-            candidates.add(e.alias.lower())
-        if want in candidates:
+        if key.lower() in _keys(e.name):
             return e
+    raise KeyError(f"no catalog entry matches {key!r}")
+
+
+def _load_entry(key: str, directory=None) -> CatalogEntry:
+    """``find_entry(load_catalog(directory), key)``, parsing only that entry."""
+    directory, paths = _scan(directory)
+    for path in paths:
+        if key.lower() in _keys(path.stem):
+            return _read_entry(path, _read_table(directory / "table1.tsv"))
     raise KeyError(f"no catalog entry matches {key!r}")
 
 
 def verify_appendix(name: str, directory=None) -> AppendixReport:
     """Rebuild the shipped measurements for one entry and locate the alpha
     where their violation curve crosses zero."""
-    return _appendix_report(find_entry(load_catalog(directory), name))
+    return _appendix_report(_load_entry(name, directory))
 
 
 def _appendix_report(entry: CatalogEntry) -> AppendixReport:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .catalog import APPENDIX_NAMES, _appendix_report, find_entry, load_catalog
+from .catalog import APPENDIX_NAMES, _appendix_report, _load_entry, find_entry, load_catalog
 from .inequality import (
     BellInequality,
     CgParseError,
@@ -35,7 +35,7 @@ from .threshold import SIGNIFICANCE, SearchConfig, alpha_max
 def _resolve_ineq(source: str) -> BellInequality:
     """A catalog name/alias, or a path to an inequality file."""
     try:
-        return find_entry(load_catalog(), source).inequality
+        return _load_entry(source).inequality
     except (KeyError, FileNotFoundError):
         pass
     path = Path(source)
@@ -140,7 +140,7 @@ def cmd_graph(args) -> int:
 
 def cmd_verify_appendix(args) -> int:
     print("name\tv0\tv1\tcrossing\ttable_value\tdelta")
-    entries = load_catalog(args.catalog)
+    entries = [_load_entry(args.name, args.catalog)] if args.name else load_catalog(args.catalog)
     for name in [args.name] if args.name else APPENDIX_NAMES:
         rep = _appendix_report(find_entry(entries, name))
         table = f"{rep.table_value:.10f}" if rep.table_value is not None else ""

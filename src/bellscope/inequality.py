@@ -374,16 +374,18 @@ def _groups_by_value(values: tuple[int, ...]) -> list[list[int]]:
     return groups
 
 
-def _min_matrix(mat, row_groups, col_groups):
+def _min_matrix(mat, row_groups, col_groups, bound=None):
     """Lexicographically minimal row-major flattening of ``mat`` over row and
     column orderings constrained to stay within the given tie groups.
 
-    Returns (rows, row_order, col_order).  Row placement branches only on
+    Returns (rows, row_order, col_order), or None when ``bound`` is given and
+    no flattening is strictly smaller than it.  Row placement branches only on
     rows whose content ties for the minimum at that position; the column
     partition refines deterministically after each placed row, so the result
     is exact.
     """
-    best: list = [None, None, None]  # rows, row order, col order
+    # The bound is an incumbent that loses every tie: () precedes any order.
+    best: list = [None, None, None] if bound is None else [bound, (), ()]
 
     def row_content(r, cgs):
         return tuple(v for g in cgs for v in sorted(mat[r][c] for c in g))
@@ -421,7 +423,7 @@ def _min_matrix(mat, row_groups, col_groups):
             rec(nrem, refine(cgs, r), acc_rows + [key], acc_order + [r])
 
     rec([list(g) for g in row_groups], [list(g) for g in col_groups], [], [])
-    return best[0], best[1], best[2]
+    return None if best[1] == () else tuple(best)
 
 
 @lru_cache(maxsize=4096)
@@ -445,7 +447,8 @@ def _canonical_with_transform(ineq: BellInequality, outcome_flips: bool = True
         top, walk = 0, [((False,) * x.m_a, (False,) * x.m_b, x.marg_a, x.marg_b)]
     # On a square input each strategy also competes with the parties
     # exchanged: flips and marginals swapped, signed joint transposed.  Sorted
-    # candidates put the minimal (sorted marg_a, sorted marg_b) prefix first.
+    # candidates put the minimal (sorted marg_a, sorted marg_b) prefix first;
+    # the best rows so far bound each later search, and ties keep the earlier.
     cands = []
     for sa, sb, v_a, v_b in walk:
         cands.append((tuple(sorted(v_a)), tuple(sorted(v_b)), swapped, sa, sb, v_a, v_b))
@@ -463,10 +466,9 @@ def _canonical_with_transform(ineq: BellInequality, outcome_flips: bool = True
         if (mat, v_a, v_b) in seen:
             continue
         seen.add((mat, v_a, v_b))
-        rows, row_order, col_order = _min_matrix(mat, _groups_by_value(v_a),
-                                                 _groups_by_value(v_b))
-        if best is None or rows < best[0]:
-            best = (rows, swap, sa, sb, row_order, col_order)
+        found = _min_matrix(mat, _groups_by_value(v_a), _groups_by_value(v_b), best and best[0])
+        if found is not None:
+            best = (found[0], swap, sa, sb, found[1], found[2])
 
     rows, swap, sa, sb, row_order, col_order = best
     canon = BellInequality(cands[0][0], cands[0][1], rows, x.bound - top)
@@ -633,13 +635,16 @@ def inclusion_digraph(ineqs: Iterable[BellInequality]) -> list[tuple[str, str]]:
     names = [x.name for x in entries]
     if None in names or len(set(names)) != len(names):
         raise ValueError("inclusion_digraph needs uniquely named inequalities")
-    arcs = set()
-    for x in entries:
-        for y in entries:
-            if x.name == y.name:
-                continue
-            if includes(x, y)[0]:
-                arcs.add((x.name, y.name))
+    order = sorted(entries, key=lambda e: e.m_a * e.m_b)  # small pairs decide larger ones
+    arcs, absent = set(), set()
+    for x, y in itertools.permutations(order, 2):
+        # Inclusion is transitive: x ⊇ c ⊇ y gives yes, y ⊇ c with x ⊉ c gives no.
+        if any((x.name, c) in arcs and (c, y.name) in arcs for c in names):
+            arcs.add((x.name, y.name))
+        elif any((y.name, c) in arcs and (x.name, c) in absent for c in names):
+            absent.add((x.name, y.name))
+        else:
+            (arcs if includes(x, y)[0] else absent).add((x.name, y.name))
     # Inclusion is transitive, so arcs is its own closure: a cycle is a pair
     # of opposite arcs, and an arc is implied when it factors through some c.
     if any((b, a) in arcs for a, b in arcs):

@@ -332,6 +332,39 @@ def test_malformed_catalog_table_names_its_file_and_line(capsys, tmp_path):
                    f"(in {tmp_path / 'table1.tsv'})\n")
 
 
+def test_catalog_lookup_reads_only_the_named_entry(capsys, tmp_path, monkeypatch):
+    """A malformed catalog file fails only the lookups that name it."""
+    (tmp_path / "A1.cg").write_text("cg 1 1 0\n0\n0 -1\n")
+    (tmp_path / "A2_CHSH.cg").write_text("cg 2 2 0\n-1 0\n-1 x 1\n0 1 -1\n")
+    good = tmp_path / "elsewhere.cg"
+    good.write_text("cg 1 1 0\n0\n0 -1\n")
+    monkeypatch.setenv("BELLSCOPE_CATALOG", str(tmp_path))
+    for source in ("A1", "a1", str(good)):
+        code, out, _ = run(capsys, "classical", "--ineq", source)
+        assert code == 0
+        assert data_lines(out)[1] == "0\t0\tyes"
+    code, _, err = run(capsys, "classical", "--ineq", "CHSH")
+    assert code == 3
+    assert err == f"error: line 3: non-integer coefficient 'x' (in {tmp_path / 'A2_CHSH.cg'})\n"
+
+
+def test_catalog_names_parse_one_file_each(capsys, monkeypatch):
+    load, parsed = catalog_mod.load_cg, []
+
+    def counting(path):
+        parsed.append(path.name)
+        return load(path)
+
+    monkeypatch.setattr(catalog_mod, "load_cg", counting)
+    code, out, _ = run(capsys, "equiv", "A8", "A8")
+    assert code == 0 and out.splitlines()[0] == "yes"
+    assert parsed == ["A8.cg", "A8.cg"]
+    parsed.clear()
+    code, out, _ = run(capsys, "verify-appendix", "--name", "a56")
+    assert code == 0 and data_lines(out)[1].startswith("A56\t")
+    assert parsed == ["A56.cg"]
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["violate", "--d", "3"])  # --ineq missing

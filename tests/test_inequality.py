@@ -445,6 +445,30 @@ def test_canonical_form_against_group_enumeration():
                 assert bs.apply_transform(ineq, t) == form
 
 
+# sha256 of the repr of every (form, transform) in the test below, taken
+# before the canonical search shared its incumbent across candidates.
+CANONICAL_DIGEST = "20202de6736f22f1f5d7029075b1213c021a84e060b2c9b5688f37897aa6efb1"
+
+
+def test_canonical_form_pinned_bit_for_bit(catalog):
+    """Forms and transforms stay identical, ties included: which optimal
+    strategy, row order and column order win is pinned, not only the key."""
+    import hashlib
+
+    rng = np.random.default_rng(2024)
+    inputs = []
+    for entry in catalog:
+        x = entry.inequality
+        inputs += [x] + [bs.apply_transform(x, random_transform(x.m_a, x.m_b, rng))
+                         for _ in range(6)]
+    for _ in range(100):
+        m_a, m_b = (int(v) for v in rng.integers(1, 5, size=2))
+        inputs.append(_random_small_ineq(rng, m_a, m_b, int(rng.integers(1, 4))))
+    text = repr([bs.inequality._canonical_with_transform(x, flips)
+                 for x in inputs for flips in (True, False)])
+    assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_DIGEST
+
+
 def _plus_transpose(ineq):
     """A symmetric inequality: a square one plus its party swap."""
     t = ineq.transposed()
@@ -737,9 +761,52 @@ def test_digraph_needs_unique_names(chsh, i3322):
 def test_digraph_rejects_equivalent_entries(catalog, chsh, switched_chsh):
     switched = dataclasses.replace(switched_chsh, name="CHSH_switched")
     for entries in ([chsh, switched],
-                    [e.inequality for e in catalog] + [switched]):
+                    [e.inequality for e in catalog] + [switched],
+                    [switched] + [e.inequality for e in catalog]):
         with pytest.raises(ValueError, match="cycle"):
             bs.inclusion_digraph(entries)
+
+
+def test_digraph_infers_pairs_by_transitivity(catalog, monkeypatch):
+    """Pairs that transitivity settles are not searched, and the arcs do not
+    depend on the input order."""
+    ineqs = [e.inequality for e in catalog]
+    expected = bs.inclusion_digraph(ineqs)
+    search, calls = bs.inequality.includes, []
+
+    def counting(a, b):
+        calls.append((a.name, b.name))
+        return search(a, b)
+
+    monkeypatch.setattr(bs.inequality, "includes", counting)
+    assert bs.inclusion_digraph(ineqs) == expected
+    assert len(calls) < len(ineqs) * (len(ineqs) - 1)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        shuffled = [ineqs[k] for k in rng.permutation(len(ineqs))]
+        assert bs.inclusion_digraph(shuffled) == expected
+
+
+def test_digraph_matches_every_pair_searched(catalog):
+    """Oracle: on pools of catalog entries and small random inequalities in
+    shuffled order, the arcs (or the cycle error) are those of searching every
+    ordered pair and reducing, so no pair is inferred wrongly."""
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        picks = rng.choice(len(catalog), size=int(rng.integers(2, 7)), replace=False)
+        pool = [catalog[k].inequality for k in picks] + [
+            dataclasses.replace(_random_small_ineq(rng, *map(int, rng.integers(1, 4, size=2)), 1),
+                                name=f"R{k}") for k in range(int(rng.integers(1, 5)))]
+        pool = [pool[k] for k in rng.permutation(len(pool))]
+        raw = {(x.name, y.name) for x in pool for y in pool
+               if x.name != y.name and bs.includes(x, y)[0]}
+        if any((b, a) in raw for a, b in raw):
+            with pytest.raises(ValueError, match="cycle"):
+                bs.inclusion_digraph(pool)
+        else:
+            assert bs.inclusion_digraph(pool) == sorted(
+                (a, b) for a, b in raw
+                if not any((a, x.name) in raw and (x.name, b) in raw for x in pool))
 
 
 def test_dot_output_format():
