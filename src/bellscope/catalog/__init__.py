@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import os
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from ..chsh import alpha_max_chsh
-from ..inequality import BellInequality, load_cg
+from ..inequality import BellInequality, CgParseError, _parse_file, load_cg
 from ..quantum import MeasurementSet, alpha_crossing, load_measurements
 
 APPENDIX_NAMES = ("A28", "A27", "A5", "A56", "A8")
@@ -39,8 +38,7 @@ class CatalogEntry:
     def measurements(self) -> tuple[MeasurementSet, MeasurementSet]:
         if self.meas_path is None:
             raise ValueError(f"no measurement data shipped for {self.name}")
-        with _naming(self.meas_path):
-            return load_measurements(self.meas_path, self.inequality.m_a, self.inequality.m_b)
+        return load_measurements(self.meas_path, self.inequality.m_a, self.inequality.m_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,31 +64,20 @@ def _natural_key(name: str):
     return [int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name)]
 
 
-@contextmanager
-def _naming(path: Path):
-    """Name ``path`` at the end of any ValueError raised while reading it."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{exc} (in {path})") from exc
-
-
 def _read_table(path: Path) -> dict[str, tuple[Optional[float], Optional[str]]]:
+    return _parse_file(path, _parse_table) if path.exists() else {}
+
+
+def _parse_table(text: str) -> dict[str, tuple[Optional[float], Optional[str]]]:
     table = {}
-    if not path.exists():
-        return table
-    with _naming(path):
-        lines = path.read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            cells = line.split("\t")
-            try:
-                alpha = float(cells[1]) if len(cells) > 1 and cells[1].strip() else None
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            facet = cells[2].strip() if len(cells) > 2 and cells[2].strip() else None
-            table[cells[0]] = (alpha, facet)
+    for lineno, line in enumerate(text.splitlines()[1:], start=2):
+        if not line.strip():
+            continue
+        name, alpha, facet, *_ = line.split("\t") + ["", ""]
+        try:
+            table[name] = (float(alpha) if alpha.strip() else None, facet.strip() or None)
+        except ValueError as exc:
+            raise CgParseError(str(exc), lineno) from None
     return table
 
 
@@ -108,12 +95,10 @@ def _keys(name: str) -> set[str]:
 
 
 def _read_entry(path: Path, table) -> CatalogEntry:
-    with _naming(path):
-        ineq = load_cg(path)
     m = _SERIAL_ALIAS.fullmatch(path.stem)
     alpha, facet = table.get(path.stem, (None, None))
     meas = path.with_suffix(".meas")
-    return CatalogEntry(path.stem, m.group(2) if m else None, ineq, alpha, facet,
+    return CatalogEntry(path.stem, m.group(2) if m else None, load_cg(path), alpha, facet,
                         meas if meas.exists() else None)
 
 
@@ -135,13 +120,23 @@ def find_entry(entries: list[CatalogEntry], key: str) -> CatalogEntry:
     raise KeyError(f"no catalog entry matches {key!r}")
 
 
+def _entry_path(key: str, directory=None) -> Path:
+    """The ``.cg`` file of the entry ``find_entry`` would match to ``key``."""
+    for path in _scan(directory)[1]:
+        if key.lower() in _keys(path.stem):
+            return path
+    raise KeyError(f"no catalog entry matches {key!r}")
+
+
 def _load_entry(key: str, directory=None) -> CatalogEntry:
     """``find_entry(load_catalog(directory), key)``, parsing only that entry."""
-    directory, paths = _scan(directory)
-    for path in paths:
-        if key.lower() in _keys(path.stem):
-            return _read_entry(path, _read_table(directory / "table1.tsv"))
-    raise KeyError(f"no catalog entry matches {key!r}")
+    path = _entry_path(key, directory)
+    return _read_entry(path, _read_table(path.parent / "table1.tsv"))
+
+
+def _load_inequality(key: str, directory=None) -> BellInequality:
+    """The named entry's inequality, parsing only its ``.cg`` file."""
+    return load_cg(_entry_path(key, directory))
 
 
 def verify_appendix(name: str, directory=None) -> AppendixReport:

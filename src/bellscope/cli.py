@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .catalog import APPENDIX_NAMES, _appendix_report, _load_entry, find_entry, load_catalog
+from .catalog import (APPENDIX_NAMES, _appendix_report, _load_entry, _load_inequality, find_entry,
+                      load_catalog)
 from .inequality import (
     BellInequality,
-    CgParseError,
     classical_max,
     dot_digraph,
     inclusion_digraph,
@@ -35,13 +35,12 @@ from .threshold import SIGNIFICANCE, SearchConfig, alpha_max
 def _resolve_ineq(source: str) -> BellInequality:
     """A catalog name/alias, or a path to an inequality file."""
     try:
-        return _load_entry(source).inequality
+        return _load_inequality(source)
     except (KeyError, FileNotFoundError):
-        pass
-    path = Path(source)
-    if path.exists():
-        return load_cg(path)
-    raise KeyError(f"{source!r} is neither a catalog entry nor an inequality file")
+        if not Path(source).exists():
+            raise KeyError(f"{source!r} is neither a catalog entry nor an "
+                           "inequality file") from None
+    return load_cg(Path(source))
 
 
 def _manifest(command: str, started: float, **config):
@@ -221,8 +220,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CgParseError, FileNotFoundError, KeyError, ValueError, OSError) as exc:
-        message = exc.args[0] if exc.args else exc
+    except (KeyError, ValueError, OSError) as exc:
+        # str() of a KeyError adds quotes; args[0] of an OSError is its errno alone.
+        message = exc.args[0] if exc.args and not isinstance(exc, OSError) else exc
         print(f"error: {message}", file=sys.stderr)
         return 3
 

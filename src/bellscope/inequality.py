@@ -10,18 +10,22 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from typing import Iterable, Optional
 
 PARTY_A = "A"
 PARTY_B = "B"
 
-# Enumeration guard for classical_max: 2**30 deterministic strategies is the
-# most we are willing to walk.
+# Enumeration guards: classical_max walks at most 2**30 deterministic
+# strategies, and the canonical form at most 2**16 optimal ones.
 MAX_ENUM_SETTINGS = 30
+MAX_CANONICAL_STRATEGIES = 2**16
 
 
 class CgParseError(ValueError):
-    """Malformed inequality file; carries the offending 1-based line number."""
+    """Malformed line in a ``.cg``, ``.meas`` or ``table1.tsv`` text; carries
+    the 1-based line number as ``.line``.  Read from a file, catalog or path,
+    the message is ``line N: ... (in PATH)``."""
 
     def __init__(self, message: str, line: Optional[int] = None):
         if line is not None:
@@ -192,14 +196,9 @@ def parse_cg(text: str, name: Optional[str] = None) -> BellInequality:
     coefficient followed by the joint coefficients against every Alice
     setting.  ``#`` starts a comment line.
     """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((lineno, stripped.split()))
+    rows, last = _numbered_tokens(text)
     if not rows:
-        raise CgParseError("empty inequality file", max(1, len(text.splitlines())))
+        raise CgParseError("empty inequality file", last)
 
     lineno, header = rows[0]
     if len(header) != 4 or header[0] != "cg":
@@ -232,6 +231,24 @@ def parse_cg(text: str, name: Optional[str] = None) -> BellInequality:
     return BellInequality(marg_a, tuple(marg_b), joint, bound, name)
 
 
+def _numbered_tokens(text: str) -> tuple[list[tuple[int, list[str]]], int]:
+    """(line number, tokens) of each line neither blank nor a ``#`` comment,
+    and the last line number, which errors about the whole text name."""
+    lines = text.splitlines()
+    return ([(no, tokens) for no, tokens in enumerate(map(str.split, lines), start=1)
+             if tokens and not tokens[0].startswith("#")], max(1, len(lines)))
+
+
+def _parse_file(path, parse):
+    """``parse`` of the text of ``path``; a ValueError, decoding included, gets
+    `` (in PATH)`` appended and keeps its type and ``.line``."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        exc.args = (f"{exc} (in {path})",)
+        raise
+
+
 def _int_token(token: str, lineno: int) -> int:
     try:
         return int(token)
@@ -250,10 +267,7 @@ def serialize_cg(ineq: BellInequality) -> str:
 
 
 def load_cg(path) -> BellInequality:
-    from pathlib import Path
-
-    p = Path(path)
-    return parse_cg(p.read_text(encoding="utf-8"), name=p.stem)
+    return _parse_file(path, lambda text: parse_cg(text, name=Path(path).stem))
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +332,8 @@ def _best_responses(x: BellInequality):
     outputs 1 exactly where w[j] > 0 (either outcome where w[j] == 0), and
     ``value`` is the strategy's value under it.  Exact because Bob's settings
     decouple."""
+    if x.m_a + x.m_b > MAX_ENUM_SETTINGS:
+        raise ValueError(f"enumeration guard: m_a + m_b > {MAX_ENUM_SETTINGS}")
     for sa in itertools.product((False, True), repeat=x.m_a):
         w = _weights(x, sa)
         value = sum(itertools.compress(x.marg_a, sa)) + sum(v for v in w if v > 0)
@@ -333,8 +349,6 @@ def classical_max(ineq: BellInequality) -> int:
     strategy's value, so ``canonical_form(ineq).bound`` is
     ``ineq.bound - classical_max(ineq)``.
     """
-    if ineq.m_a + ineq.m_b > MAX_ENUM_SETTINGS:
-        raise ValueError(f"enumeration guard: m_a + m_b > {MAX_ENUM_SETTINGS}")
     # Iterate the smaller side for the exponential factor.
     x = ineq if ineq.m_a <= ineq.m_b else ineq.transposed()
     return max(value for _, _, value in _best_responses(x))
@@ -439,6 +453,8 @@ def _canonical_with_transform(ineq: BellInequality, outcome_flips: bool = True
     if outcome_flips:
         responses = list(_best_responses(x))
         top = max(value for _, _, value in responses)
+        if sum(2 ** w.count(0) for _, w, v in responses if v == top) > MAX_CANONICAL_STRATEGIES:
+            raise ValueError(f"enumeration guard: > {MAX_CANONICAL_STRATEGIES} optimal strategies")
         walk = [(sa, sb, tuple(-abs(m + sum(itertools.compress(row, sb)))
                                for m, row in zip(x.marg_a, x.joint)), tuple(-abs(v) for v in w))
                 for sa, w, value in responses if value == top

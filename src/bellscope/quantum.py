@@ -7,12 +7,12 @@ basis vector |ij> of the d x d bipartite system sits at index i*d + j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .inequality import BellInequality, PARTY_A, PARTY_B
+from .inequality import (BellInequality, CgParseError, PARTY_A, PARTY_B, _numbered_tokens,
+                         _parse_file)
 
 # Every floating-point tolerance of the package, all absolute.
 ROUNDING_TOL = 1e-12     # Hermiticity, unit trace, CHSH vector norm <= 1
@@ -281,94 +281,81 @@ def parse_measurements(text: str, party_a_count: Optional[int] = None,
 
     Records are ``effect <A|B> <index> <proj|complement|zero|identity>``;
     proj and complement are followed by one line of 2d reals giving the
-    vector, which is renormalized on load.  Errors start with ``line N:``.
+    vector, which is renormalized on load.  Errors are ``CgParseError``s.
     """
-    numbered = [(no, line) for no, line in enumerate(
-        (raw.strip() for raw in text.splitlines()), start=1)
-        if line and not line.startswith("#")]
-    last = max(1, len(text.splitlines()))  # named by errors about the whole file
-
-    raw_records = []  # (line number, party, index, kind, vector or None)
+    rows, last = _numbered_tokens(text)
+    raw_records = []  # (line number, party, index, complemented, vector or None)
     pos = 0
-    while pos < len(numbered):
-        no, line = numbered[pos]
-        tokens = line.split()
+    while pos < len(rows):
+        no, tokens = rows[pos]
         if len(tokens) != 4 or tokens[0] != "effect":
-            raise ValueError(f"line {no}: expected 'effect <A|B> <index> <kind>', got {line!r}")
+            raise CgParseError(f"expected 'effect <A|B> <index> <kind>', "
+                               f"got {text.splitlines()[no - 1].strip()!r}", no)
         _, party, index_s, kind = tokens
         if party not in (PARTY_A, PARTY_B):
-            raise ValueError(f"line {no}: unknown party {party!r}")
+            raise CgParseError(f"unknown party {party!r}", no)
         try:
             index = int(index_s)
         except ValueError:
-            raise ValueError(f"line {no}: effect index {index_s!r} is not an integer") from None
+            raise CgParseError(f"effect index {index_s!r} is not an integer", no) from None
         pos += 1
+        vec = None  # the zero effect, or the identity when complemented
         if kind in ("proj", "complement"):
-            if pos >= len(numbered) or numbered[pos][1].startswith("effect"):
-                raise ValueError(f"line {no}: missing vector line for effect {party} {index}")
-            vno, vline = numbered[pos]
+            if pos >= len(rows) or rows[pos][1][0].startswith("effect"):
+                raise CgParseError(f"missing vector line for effect {party} {index}", no)
+            vno, vtokens = rows[pos]
             pos += 1
             try:
-                vals = [float(t) for t in vline.split()]
+                vals = [float(t) for t in vtokens]
             except ValueError as exc:
-                raise ValueError(f"line {vno}: bad number in vector line ({exc})") from None
+                raise CgParseError(f"bad number in vector line ({exc})", vno) from None
             if len(vals) % 2 != 0:
-                raise ValueError(f"line {vno}: vector line must hold re/im pairs")
+                raise CgParseError("vector line must hold re/im pairs", vno)
             # Normed after scaling by the largest |entry| (NaN propagates), so
             # inf meets no arithmetic and large finite entries cannot overflow.
             peak = float(np.abs(vals).max())
             if not 0 < peak < np.inf:
-                raise ValueError(f"line {vno}: vector norm too small or not finite")
+                raise CgParseError("vector norm too small or not finite", vno)
             vec = np.divide(vals, peak).view(complex)  # re/im pairs
             norm = float(np.linalg.norm(vec))
             if peak * norm < MIN_VECTOR_NORM:
-                raise ValueError(f"line {vno}: vector norm too small")
-            raw_records.append((no, party, index, kind, vec / norm))
-        elif kind in ("zero", "identity"):
-            raw_records.append((no, party, index, kind, None))
-        else:
-            raise ValueError(f"line {no}: unknown effect kind {kind!r}")
+                raise CgParseError("vector norm too small", vno)
+            vec = vec / norm
+        elif kind not in ("zero", "identity"):
+            raise CgParseError(f"unknown effect kind {kind!r}", no)
+        raw_records.append((no, party, index, kind in ("complement", "identity"), vec))
 
-    sizes = [vec.size for *_, vec in raw_records if vec is not None]
-    if not sizes:
-        raise ValueError(f"line {last}: no vector records; cannot infer the dimension")
-    d = sizes[0]
+    d = next((vec.size for *_, vec in raw_records if vec is not None), None)
+    if d is None:
+        raise CgParseError("no vector records; cannot infer the dimension", last)
 
     records: dict[str, dict[int, tuple[int, Effect]]] = {PARTY_A: {}, PARTY_B: {}}
-    for no, party, index, kind, vec in raw_records:
+    for no, party, index, complemented, vec in raw_records:
         if vec is not None and vec.size != d:
-            raise ValueError(f"line {no}: vector dimension {vec.size} differs from {d}")
-        if kind == "zero":
-            op = np.zeros((d, d))
-        elif kind == "identity":
-            op = np.eye(d)
-        else:
-            op = np.outer(vec, vec.conj())
-            if kind == "complement":
-                op = np.eye(d) - op
+            raise CgParseError(f"vector dimension {vec.size} differs from {d}", no)
         if index in records[party]:
-            raise ValueError(f"line {no}: duplicate effect {party} {index}")
-        records[party][index] = (no, Effect(d, op))
+            raise CgParseError(f"duplicate effect {party} {index}", no)
+        op = np.zeros((d, d)) if vec is None else np.outer(vec, vec.conj())
+        records[party][index] = (no, Effect(d, np.eye(d) - op if complemented else op))
 
     sets = []
     for party, expected in ((PARTY_A, party_a_count), (PARTY_B, party_b_count)):
         got = records[party]
         if not got:
-            raise ValueError(f"line {last}: no effects for party {party}")
+            raise CgParseError(f"no effects for party {party}", last)
         m = max(got)
         no = got[m][0]
         if sorted(got) != list(range(1, m + 1)):
-            raise ValueError(f"line {no}: party {party} effect indices must be 1..{m} without gaps")
+            raise CgParseError(f"party {party} effect indices must be 1..{m} without gaps", no)
         if expected is not None and m != expected:
-            raise ValueError(f"line {no}: party {party}: expected {expected} effects, found {m}")
+            raise CgParseError(f"party {party}: expected {expected} effects, found {m}", no)
         sets.append(MeasurementSet(party, tuple(got[i][1] for i in range(1, m + 1))))
     return sets[0], sets[1]
 
 
 def load_measurements(path, party_a_count: Optional[int] = None,
                       party_b_count: Optional[int] = None):
-    return parse_measurements(Path(path).read_text(encoding="utf-8"),
-                              party_a_count, party_b_count)
+    return _parse_file(path, lambda text: parse_measurements(text, party_a_count, party_b_count))
 
 
 def dump_measurements(a: MeasurementSet, b: MeasurementSet) -> str:

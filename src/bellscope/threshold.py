@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .inequality import BellInequality
-from .quantum import BRACKET_TOL, SIGNIFICANCE, alpha_crossing, isotropic_state
+from .quantum import (BRACKET_TOL, SIGNIFICANCE, _isotropic_endpoints, alpha_crossing,
+                      isotropic_state)
 from .seesaw import SeesawConfig, SeesawResult, multi_restart_max
 
 
@@ -60,11 +61,11 @@ def alpha_max(ineq: BellInequality, d: int, cfg: Optional[SearchConfig] = None) 
         steps += 1
         if res.best_violation <= SIGNIFICANCE:
             break
-        crossing = alpha_crossing(ineq, d, res.best_a, res.best_b)
-        if not crossing.in_range or crossing.v1 <= crossing.v0:
+        # v0 > 0 is a violation at alpha = 0; alpha_crossing calls a constant one degenerate.
+        if _isotropic_endpoints(ineq, res.best_a.ops(), res.best_b.ops())[0] > 0:
             raise ValueError(f"a witness violates {ineq.name or 'the inequality'} at alpha = 0: "
                              f"its bound {ineq.bound} is below the classical maximum")
-        upper, witness = crossing.alpha, res
+        upper, witness = alpha_crossing(ineq, d, res.best_a, res.best_b).alpha, res
         alpha = max(upper - cfg.bracket_tol, 0.0)
         while upper - alpha > cfg.bracket_tol:  # undo the rounding of the subtraction
             alpha = math.nextafter(alpha, upper)

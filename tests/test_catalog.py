@@ -85,6 +85,16 @@ def test_env_var_overrides_catalog_dir(tmp_path, monkeypatch):
     assert [e.name for e in entries] == ["X1"]
 
 
+def test_malformed_table_raises_a_line_numbered_error(tmp_path):
+    (tmp_path / "X1.cg").write_text("cg 1 1 0\n0\n0 -1\n")
+    table = tmp_path / "table1.tsv"
+    table.write_text("name\talpha_max\tcut_facet\n\nX1\t0.75x\ttriangle\n")
+    with pytest.raises(bs.CgParseError) as info:
+        bs.load_catalog(tmp_path)
+    assert info.value.line == 3
+    assert str(info.value) == f"line 3: could not convert string to float: '0.75x' (in {table})"
+
+
 def test_appendix_effect_traces(catalog):
     # proj effects have trace 1, complement effects trace d-1 = 2; the printed
     # 6-digit amplitudes are renormalized so this holds tightly.

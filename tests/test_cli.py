@@ -137,13 +137,14 @@ def test_threshold_no_violation_flag(capsys):
 
 
 def test_threshold_rejects_bound_below_classical_max(capsys, tmp_path):
-    # CHSH with bound -1: its classical maximum 0 violates it at alpha = 0.
-    path = tmp_path / "chsh_low.cg"
-    path.write_text("cg 2 2 -1\n-1 0\n-1 1 1\n0 1 -1\n", encoding="utf-8")
-    code, out, err = run(capsys, "threshold", "--ineq", str(path), "--d", "2")
-    assert code == 3
-    assert out == ""
-    assert "below the classical maximum" in err
+    for text in ("cg 2 2 -1\n-1 0\n-1 1 1\n0 1 -1\n",  # CHSH with bound -1: its maximum is 0
+                 "cg 1 1 -1\n0\n0 0\n"):  # violated by 1 at every alpha: a degenerate crossing
+        path = tmp_path / "low.cg"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "threshold", "--ineq", str(path), "--d", "2")
+        assert code == 3
+        assert out == ""
+        assert "below the classical maximum" in err
 
 
 def test_equiv_yes_identity(capsys):
@@ -298,6 +299,29 @@ def test_malformed_file_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"cg 2 2 0\n-1 0\n-1 x 1\n0 1 -1\n", "error: line 3: non-integer coefficient 'x'"),
+    (b"cg 1 1 0\n\xff\n0 -1\n", "error: 'utf-8' codec can't decode byte 0xff in position 9"),
+], ids=["malformed", "undecodable"])
+def test_file_errors_name_their_file(capsys, tmp_path, content, message):
+    good, bad = tmp_path / "good.cg", tmp_path / "bad.cg"
+    good.write_text("cg 2 2 0\n-1 0\n-1 1 1\n0 1 -1\n")
+    bad.write_bytes(content)
+    code, out, err = run(capsys, "equiv", str(good), str(bad))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(message)
+    assert err.endswith(f" (in {bad})\n")
+
+
+def test_unreadable_file_names_its_file(capsys, tmp_path):
+    path = tmp_path / "dir.cg"
+    path.mkdir()
+    code, _, err = run(capsys, "classical", "--ineq", str(path))
+    assert code == 3
+    assert err.startswith("error: [Errno ") and err.endswith(f": '{path}'\n")
+
+
 def test_malformed_measurement_file_exits_3(capsys, tmp_path, by_name):
     (tmp_path / "A5.cg").write_text(bs.serialize_cg(by_name("A5")))
     (tmp_path / "A5.meas").write_text("effect A 1 proj\n0.5 0 zero 0 0 0\n")
@@ -336,6 +360,7 @@ def test_catalog_lookup_reads_only_the_named_entry(capsys, tmp_path, monkeypatch
     """A malformed catalog file fails only the lookups that name it."""
     (tmp_path / "A1.cg").write_text("cg 1 1 0\n0\n0 -1\n")
     (tmp_path / "A2_CHSH.cg").write_text("cg 2 2 0\n-1 0\n-1 x 1\n0 1 -1\n")
+    (tmp_path / "table1.tsv").write_text("name\talpha_max\tcut_facet\nA1\t0.75x\ttriangle\n")
     good = tmp_path / "elsewhere.cg"
     good.write_text("cg 1 1 0\n0\n0 -1\n")
     monkeypatch.setenv("BELLSCOPE_CATALOG", str(tmp_path))

@@ -263,6 +263,17 @@ def test_canonical_degenerate_inequality_fast():
     assert bs.canonical_form(canon) == canon
 
 
+@pytest.mark.parametrize("m_a, m_b", [(12, 12), (16, 15)], ids=["ties", "settings"])
+def test_canonical_form_guard(m_a, m_b):
+    # All-zero: 2^(m_a + m_b) optimal strategies, or more settings than
+    # classical_max walks; both are refused before any candidate is built.
+    zero = bs.BellInequality((0,) * m_a, (0,) * m_b, ((0,) * m_b,) * m_a, 0)
+    with pytest.raises(ValueError, match="guard"):
+        bs.canonical_form(zero)
+    with pytest.raises(ValueError, match="guard"):
+        bs.are_equivalent(zero, zero)
+
+
 def test_canonical_constant_on_random_orbit(catalog):
     rng = np.random.default_rng(11)
     for entry in catalog:

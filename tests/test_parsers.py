@@ -50,7 +50,7 @@ def assert_names_a_line(exc, text):
 def test_parse_cg_parses_or_names_a_line(text):
     try:
         bs.parse_cg(text)
-    except ValueError as exc:  # CgParseError is a ValueError
+    except bs.CgParseError as exc:
         assert_names_a_line(exc, text)
 
 
@@ -60,7 +60,7 @@ def test_parse_cg_parses_or_names_a_line(text):
 def test_parse_measurements_parses_or_names_a_line(text, m_a, m_b):
     try:
         parse_measurements(text, m_a, m_b)
-    except ValueError as exc:
+    except bs.CgParseError as exc:
         assert_names_a_line(exc, text)
 
 

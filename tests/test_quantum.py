@@ -505,8 +505,19 @@ def test_parse_measurements_rejects_duplicates():
 ], ids=["bad-index", "bad-number", "odd-count", "vector-missing", "vector-missing-at-end",
         "non-finite"])
 def test_parse_measurements_errors_name_their_line(text, line, what):
-    with pytest.raises(ValueError, match=rf"^line {line}: .*{what}"):
+    with pytest.raises(bs.CgParseError, match=rf"^line {line}: .*{what}") as info:
         parse_measurements(text)
+    assert info.value.line == line
+
+
+def test_load_measurements_names_the_file_and_line(tmp_path):
+    path = tmp_path / "bad.meas"
+    path.write_text("effect A 1 proj\n1 0 0 0\n# note\neffect B 1 proj\n1 0 x 0\n")
+    with pytest.raises(bs.CgParseError) as info:
+        bs.load_measurements(path)
+    assert info.value.line == 5
+    assert str(info.value).startswith("line 5: bad number in vector line")
+    assert str(info.value).endswith(f" (in {path})")
 
 
 def test_parse_measurements_large_finite_vector_renormalizes():
