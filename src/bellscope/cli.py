@@ -61,6 +61,10 @@ def cmd_violate(args) -> int:
     ineq = _resolve_ineq(args.ineq)
     cfg = SeesawConfig(restarts=args.restarts, base_seed=args.seed)
     res = multi_restart_max(ineq, isotropic_state(args.d, args.alpha), cfg)
+    if args.dump_measurements:  # first: a failed write leaves stdout empty
+        Path(args.dump_measurements).write_text(
+            dump_measurements(res.best_a, res.best_b), encoding="utf-8")
+        print(f"measurements written to {args.dump_measurements}", file=sys.stderr)
     significant = res.best_violation > SIGNIFICANCE
     print("violation\tsignificant\tconverged\titers\trestart_index")
     print(f"{res.best_violation:.12g}\t{'yes' if significant else 'no'}\t"
@@ -71,10 +75,6 @@ def cmd_violate(args) -> int:
     else:
         print(f"no significant violation (best {res.best_violation:.3g} <= {SIGNIFICANCE:g})",
               file=sys.stderr)
-    if args.dump_measurements:
-        Path(args.dump_measurements).write_text(
-            dump_measurements(res.best_a, res.best_b), encoding="utf-8")
-        print(f"measurements written to {args.dump_measurements}", file=sys.stderr)
     _manifest("violate", started, ineq=args.ineq, d=args.d, alpha=args.alpha,
               restarts=args.restarts, seed=args.seed, significance=SIGNIFICANCE)
     return 0

@@ -392,14 +392,12 @@ def _min_matrix(mat, row_groups, col_groups, bound=None):
     """Lexicographically minimal row-major flattening of ``mat`` over row and
     column orderings constrained to stay within the given tie groups.
 
-    Returns (rows, row_order, col_order), or None when ``bound`` is given and
-    no flattening is strictly smaller than it.  Row placement branches only on
-    rows whose content ties for the minimum at that position; the column
-    partition refines deterministically after each placed row, so the result
-    is exact.
+    Returns its rows, or None when ``bound`` is given and no flattening is
+    strictly smaller than it.  Row placement branches only on rows whose
+    content ties for the minimum at that position; the column partition
+    refines deterministically after each placed row, so the result is exact.
     """
-    # The bound is an incumbent that loses every tie: () precedes any order.
-    best: list = [None, None, None] if bound is None else [bound, (), ()]
+    best = bound
 
     def row_content(r, cgs):
         return tuple(v for g in cgs for v in sorted(mat[r][c] for c in g))
@@ -414,42 +412,52 @@ def _min_matrix(mat, row_groups, col_groups, bound=None):
                 out.append(buckets[v])
         return out
 
-    def rec(remaining, cgs, acc_rows, acc_order):
+    def rec(remaining, cgs, acc_rows):
+        nonlocal best
         depth = len(acc_rows)
         if not remaining:
-            col_order = tuple(c for g in cgs for c in sorted(g))
-            cand = (tuple(acc_rows), tuple(acc_order), col_order)
-            if best[0] is None or cand < tuple(best):
-                best[0], best[1], best[2] = cand
+            if best is None or acc_rows < best:
+                best = acc_rows
             return
         group = remaining[0]
         keyed = [(row_content(r, cgs), r) for r in group]
         lo = min(k for k, _ in keyed)
         # Prune against the incumbent only while the accumulated rows still
         # match its prefix; a strictly smaller prefix must keep exploring.
-        if best[0] is not None and tuple(acc_rows) == best[0][:depth] and lo > best[0][depth]:
+        if best is not None and acc_rows == best[:depth] and lo > best[depth]:
             return
+        tried = set()  # swapping identical rows is an automorphism: try one
         for key, r in keyed:
-            if key != lo:
+            if key != lo or mat[r] in tried:
                 continue
+            tried.add(mat[r])
             rest = [r2 for r2 in group if r2 != r]
             nrem = ([rest] if rest else []) + remaining[1:]
-            rec(nrem, refine(cgs, r), acc_rows + [key], acc_order + [r])
+            rec(nrem, refine(cgs, r), acc_rows + (key,))
 
-    rec([list(g) for g in row_groups], [list(g) for g in col_groups], [], [])
-    return None if best[1] == () else tuple(best)
+    rec([list(g) for g in row_groups], [list(g) for g in col_groups], ())
+    return None if best is bound else best
 
 
 @lru_cache(maxsize=4096)
-def _canonical_with_transform(ineq: BellInequality, outcome_flips: bool = True
-                              ) -> tuple[BellInequality, Transform]:
+def canonical_form(ineq: BellInequality, outcome_flips: bool = True) -> BellInequality:
+    """The lexicographically minimal equivalent form; constant on equivalence
+    classes and idempotent.
+
+    Its bound is ``ineq.bound - classical_max(ineq)``: flipping the outcomes
+    on which a deterministic strategy outputs 1 lowers the bound by exactly
+    that strategy's value, so the minimizing flips are the optimal strategies.
+
+    With ``outcome_flips=False`` the minimization runs over relabelings only
+    (party exchange and setting permutations), the coarser identification
+    under which the 16 outcome-switched CHSH variants split into two classes
+    instead of one.
+    """
     # The form has m_a <= m_b, so one walk on the smaller party's side finds
-    # every candidate.  The minimal bound is reached exactly on the optimal
-    # deterministic strategies (see canonical_form); flipped there, every
-    # marginal is minus an absolute value, and Bob's response branches only
-    # where his weight is 0.  Without outcome flips the walk is the empty flip.
-    swapped = ineq.m_a > ineq.m_b
-    x = ineq.transposed() if swapped else ineq
+    # every candidate.  Flipped at an optimal strategy, every marginal is
+    # minus an absolute value, and Bob's response branches only where his
+    # weight is 0.  Without outcome flips the walk is the empty flip.
+    x = ineq.transposed() if ineq.m_a > ineq.m_b else ineq
     if outcome_flips:
         responses = list(_best_responses(x))
         top = max(value for _, _, value in responses)
@@ -464,61 +472,37 @@ def _canonical_with_transform(ineq: BellInequality, outcome_flips: bool = True
     # On a square input each strategy also competes with the parties
     # exchanged: flips and marginals swapped, signed joint transposed.  Sorted
     # candidates put the minimal (sorted marg_a, sorted marg_b) prefix first;
-    # the best rows so far bound each later search, and ties keep the earlier.
+    # the best rows so far bound each later search.
     cands = []
     for sa, sb, v_a, v_b in walk:
-        cands.append((tuple(sorted(v_a)), tuple(sorted(v_b)), swapped, sa, sb, v_a, v_b))
+        cands.append((tuple(sorted(v_a)), tuple(sorted(v_b)), False, sa, sb, v_a, v_b))
         if x.m_a == x.m_b:
             cands.append((tuple(sorted(v_b)), tuple(sorted(v_a)), True, sb, sa, v_b, v_a))
     cands.sort()
-    joints = {swapped: x.joint, not swapped: tuple(zip(*x.joint))}
-    best = None
+    joints = (x.joint, tuple(zip(*x.joint)))
+    rows = None
     seen = set()  # distinct strategies often yield identical candidates
     for sorted_va, sorted_vb, swap, sa, sb, v_a, v_b in cands:
         if (sorted_va, sorted_vb) != cands[0][:2]:
             break
         mat = tuple(tuple(-v if fa ^ fb else v for fb, v in zip(sb, row))
                     for fa, row in zip(sa, joints[swap]))
-        if (mat, v_a, v_b) in seen:
-            continue
-        seen.add((mat, v_a, v_b))
-        found = _min_matrix(mat, _groups_by_value(v_a), _groups_by_value(v_b), best and best[0])
-        if found is not None:
-            best = (found[0], swap, sa, sb, found[1], found[2])
-
-    rows, swap, sa, sb, row_order, col_order = best
-    canon = BellInequality(cands[0][0], cands[0][1], rows, x.bound - top)
-    t = Transform(swap, row_order, col_order,
-                  tuple(sa[r] for r in row_order), tuple(sb[c] for c in col_order))
-    return canon, t
-
-
-def canonical_form(ineq: BellInequality, outcome_flips: bool = True) -> BellInequality:
-    """The lexicographically minimal equivalent form; constant on equivalence
-    classes and idempotent.
-
-    Its bound is ``ineq.bound - classical_max(ineq)``: flipping the outcomes
-    on which a deterministic strategy outputs 1 lowers the bound by exactly
-    that strategy's value, so the minimizing flips are the optimal strategies.
-
-    With ``outcome_flips=False`` the minimization runs over relabelings only
-    (party exchange and setting permutations), the coarser identification
-    under which the 16 outcome-switched CHSH variants split into two classes
-    instead of one.
-    """
-    return _canonical_with_transform(ineq, outcome_flips)[0]
+        if (mat, v_a, v_b) not in seen:
+            seen.add((mat, v_a, v_b))
+            rows = _min_matrix(mat, _groups_by_value(v_a), _groups_by_value(v_b), rows) or rows
+    return BellInequality(cands[0][0], cands[0][1], rows, x.bound - top)
 
 
 def are_equivalent(a: BellInequality, b: BellInequality):
     """Whether the two inequalities are related by party exchange, setting
     permutation and outcome flips; returns (flag, witness transform or None),
-    where the witness maps ``a`` onto ``b`` exactly.
+    where the witness maps ``a`` onto ``b`` exactly.  Canonical forms decide;
+    the witness is the inclusion search's, which on equal shapes (or
+    transposed ones) is an equivalence search.
     """
-    ca, ta = _canonical_with_transform(a, True)
-    cb, tb = _canonical_with_transform(b, True)
-    if ca != cb:
+    if canonical_form(a) != canonical_form(b):
         return False, None
-    witness = tb.inverse().compose(ta)
+    witness = includes(a, b)[1].transform
     assert apply_transform(a, witness) == b
     return True, witness
 

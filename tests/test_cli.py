@@ -116,6 +116,18 @@ def test_violate_dump_measurements(capsys, tmp_path):
     assert abs(v - float(data_lines(out)[1].split("\t")[0])) < 1e-9
 
 
+@pytest.mark.parametrize("d, alpha, restarts, where", [
+    ("2", "0.9", "2", "missing/x.meas"),  # the directory does not exist
+    ("4", "0.8", "20", "x.meas"),         # a rank-2 effect has no file form
+], ids=["unwritable", "no-file-form"])
+def test_violate_failed_dump_prints_no_result(capsys, tmp_path, d, alpha, restarts, where):
+    code, out, err = run(capsys, "violate", "--ineq", "CHSH", "--d", d, "--alpha", alpha,
+                         "--restarts", restarts, "--dump-measurements", str(tmp_path / where))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_threshold_chsh_d2(capsys):
     code, out, _ = run(capsys, "threshold", "--ineq", "CHSH", "--d", "2",
                        "--tol", "1e-4", "--restarts", "60", "--seed", "5")

@@ -255,12 +255,14 @@ def test_sixteen_chsh_switchings_two_relabeling_classes(chsh, switched_chsh):
 
 
 def test_canonical_degenerate_inequality_fast():
-    # Fully tied coefficients once made the search walk every flip subset;
-    # the canonical form must stay instant and idempotent on such inputs.
-    zero = bs.BellInequality((0,) * 5, (0,) * 5, ((0,) * 5,) * 5, 0)
-    canon = bs.canonical_form(zero)
-    assert canon == zero
-    assert bs.canonical_form(canon) == canon
+    # Fully tied coefficients once made the search walk every flip subset, and
+    # every order of identical rows; the canonical form must stay instant and
+    # idempotent on such inputs.
+    for m_a, m_b, flips in ((5, 5, True), (12, 12, False), (9, 11, False)):
+        zero = bs.BellInequality((0,) * m_a, (0,) * m_b, ((0,) * m_b,) * m_a, 0)
+        canon = bs.canonical_form(zero, flips)
+        assert canon == zero
+        assert bs.canonical_form(canon, flips) == canon
 
 
 @pytest.mark.parametrize("m_a, m_b", [(12, 12), (16, 15)], ids=["ties", "settings"])
@@ -294,16 +296,14 @@ def test_canonical_bound_is_bound_minus_classical_max(catalog):
 
 
 def test_are_equivalent_reuses_cached_canonical_forms(by_name):
-    from bellscope.inequality import _canonical_with_transform
-
     rng = np.random.default_rng(4242)
     a56 = by_name("A56")
     x, y = (bs.apply_transform(a56, random_transform(5, 5, rng)) for _ in range(2))
     bs.canonical_form(x)
     bs.canonical_form(y)
-    misses = _canonical_with_transform.cache_info().misses
+    misses = bs.canonical_form.cache_info().misses
     assert bs.are_equivalent(x, y)[0]
-    assert _canonical_with_transform.cache_info().misses == misses
+    assert bs.canonical_form.cache_info().misses == misses
 
 
 def test_equivalent_chsh_switched(chsh, switched_chsh):
@@ -316,15 +316,18 @@ def test_not_equivalent_different_shape(chsh, i3322):
     assert bs.are_equivalent(chsh, i3322) == (False, None)
 
 
-def test_equivalence_witness_recovery_a8(by_name):
+def test_equivalence_witness_recovery_a8(catalog):
+    # Every entry against disguises in both orientations, so transposed shapes
+    # (A8) and symmetric targets (CHSH, I3322) reach the witness too.
     rng = np.random.default_rng(2024)
-    a8 = by_name("A8")
-    for _ in range(10):
-        t = random_transform(a8.m_a, a8.m_b, rng)
-        moved = bs.apply_transform(a8, t)
-        flag, witness = bs.are_equivalent(a8, moved)
-        assert flag
-        assert bs.apply_transform(a8, witness) == moved
+    for entry in catalog:
+        x = entry.inequality
+        for _ in range(10):
+            moved = bs.apply_transform(x, random_transform(x.m_a, x.m_b, rng))
+            for target in (moved, moved.transposed()):
+                flag, witness = bs.are_equivalent(x, target)
+                assert flag
+                assert bs.apply_transform(x, witness) == target
 
 
 def test_equivalence_relation_properties(catalog):
@@ -436,11 +439,10 @@ def _random_small_ineq(rng, m_a, m_b, span=2):
 
 def test_canonical_form_against_group_enumeration():
     """Oracle: the canonical form is the key-minimal element of the full orbit,
-    and with ``outcome_flips=False`` of the orbit's flip-free part; the
-    returned transform maps the input onto its form.  Coefficients from
-    {-1, 0, 1} make many optimal strategies and zero weights, so the walk's
-    tie branches are exercised; the (3, 2) shape is walked from its smaller
-    side after a transpose."""
+    and with ``outcome_flips=False`` of the orbit's flip-free part.
+    Coefficients from {-1, 0, 1} make many optimal strategies and zero
+    weights, so the walk's tie branches are exercised; the (3, 2) shape is
+    walked from its smaller side after a transpose."""
     rng = np.random.default_rng(99)
     shapes = ((2, 2), (2, 3), (3, 2), (3, 3))
     for span, (m_a, m_b) in itertools.product((2, 1), shapes):
@@ -451,19 +453,18 @@ def test_canonical_form_against_group_enumeration():
             orbit = [(any(t.flip_a + t.flip_b), bs.apply_transform(x, t).key())
                      for x in sources for t in _all_transforms(x.m_a, x.m_b)]
             for flips in (True, False):
-                form, t = bs.inequality._canonical_with_transform(ineq, flips)
+                form = bs.canonical_form(ineq, flips)
                 assert form.key() == min(key for flipped, key in orbit if flips or not flipped)
-                assert bs.apply_transform(ineq, t) == form
 
 
-# sha256 of the repr of every (form, transform) in the test below, taken
-# before the canonical search shared its incumbent across candidates.
-CANONICAL_DIGEST = "20202de6736f22f1f5d7029075b1213c021a84e060b2c9b5688f37897aa6efb1"
+# sha256 of the repr of every form in the test below, taken while the
+# canonical search still built a transform for each form.
+CANONICAL_DIGEST = "8075b67ea8ce502939c930864cc5c9bdbfc943297d3aa2c86eb6c49a5212c48f"
 
 
 def test_canonical_form_pinned_bit_for_bit(catalog):
-    """Forms and transforms stay identical, ties included: which optimal
-    strategy, row order and column order win is pinned, not only the key."""
+    """Forms stay identical, byte for byte, on catalog entries, disguised
+    entries and random small inequalities in both flip modes."""
     import hashlib
 
     rng = np.random.default_rng(2024)
@@ -475,8 +476,7 @@ def test_canonical_form_pinned_bit_for_bit(catalog):
     for _ in range(100):
         m_a, m_b = (int(v) for v in rng.integers(1, 5, size=2))
         inputs.append(_random_small_ineq(rng, m_a, m_b, int(rng.integers(1, 4))))
-    text = repr([bs.inequality._canonical_with_transform(x, flips)
-                 for x in inputs for flips in (True, False)])
+    text = repr([bs.canonical_form(x, flips) for x in inputs for flips in (True, False)])
     assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_DIGEST
 
 
