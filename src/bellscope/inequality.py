@@ -392,10 +392,10 @@ def _min_matrix(mat, row_groups, col_groups, bound=None):
     """Lexicographically minimal row-major flattening of ``mat`` over row and
     column orderings constrained to stay within the given tie groups.
 
-    Returns its rows, or None when ``bound`` is given and no flattening is
-    strictly smaller than it.  Row placement branches only on rows whose
-    content ties for the minimum at that position; the column partition
-    refines deterministically after each placed row, so the result is exact.
+    Returns its rows, or ``bound`` when no flattening is strictly smaller.
+    Row placement branches only on rows whose content ties for the minimum at
+    that position; the column partition refines deterministically after each
+    placed row, so the result is exact.
     """
     best = bound
 
@@ -436,7 +436,7 @@ def _min_matrix(mat, row_groups, col_groups, bound=None):
             rec(nrem, refine(cgs, r), acc_rows + (key,))
 
     rec([list(g) for g in row_groups], [list(g) for g in col_groups], ())
-    return None if best is bound else best
+    return best
 
 
 @lru_cache(maxsize=4096)
@@ -451,7 +451,7 @@ def canonical_form(ineq: BellInequality, outcome_flips: bool = True) -> BellIneq
     With ``outcome_flips=False`` the minimization runs over relabelings only
     (party exchange and setting permutations), the coarser identification
     under which the 16 outcome-switched CHSH variants split into two classes
-    instead of one.
+    instead of one.  Cached per spelling: ``(x)`` and ``(x, True)`` are two entries.
     """
     # The form has m_a <= m_b, so one walk on the smaller party's side finds
     # every candidate.  Flipped at an optimal strategy, every marginal is
@@ -489,7 +489,7 @@ def canonical_form(ineq: BellInequality, outcome_flips: bool = True) -> BellIneq
                     for fa, row in zip(sa, joints[swap]))
         if (mat, v_a, v_b) not in seen:
             seen.add((mat, v_a, v_b))
-            rows = _min_matrix(mat, _groups_by_value(v_a), _groups_by_value(v_b), rows) or rows
+            rows = _min_matrix(mat, _groups_by_value(v_a), _groups_by_value(v_b), rows)
     return BellInequality(cands[0][0], cands[0][1], rows, x.bound - top)
 
 
@@ -536,7 +536,10 @@ def includes(a: BellInequality, b: BellInequality):
 def _inclusion_search(x: BellInequality, b: BellInequality):
     """The first match on x as (perm_a, perm_b, flip_a, flip_b), or None."""
     evens = ((1 << 2 * x.m_b) - 1) // 3  # bits 2c; candidate bit 2c + t is column c, flip t
-    for rows, cands in _place_rows(x, b, (), [3 * evens] * b.m_b, [None] * x.m_a, evens):
+    cands = [sum(1 << 2 * c + t for c, t in fits)
+             for fits in _corr_fits(x.marg_b, tuple(zip(*x.joint)), b.marg_b, tuple(zip(*b.joint)))]
+    row_fits = _corr_fits(x.marg_a, x.joint, b.marg_a, b.joint)
+    for rows, cands in _place_rows(x, b, (), cands, [None] * x.m_a, evens, row_fits):
         perm_a = [r for r, _ in rows]
         perm_a += [r for r in range(x.m_a) if r not in perm_a]
         for free_a in itertools.product((False, True), repeat=x.m_a - b.m_a):
@@ -569,19 +572,32 @@ def _value_masks(v: tuple) -> dict[int, int]:
     return masks
 
 
-def _place_rows(x: BellInequality, b: BellInequality, rows: tuple, cands: list, masks, evens):
-    """Yield each placement ``rows[i] = (r, flip)`` of b's rows on distinct rows
-    of x, depth first, with ``cands[j]`` the bits that fit; ``masks`` caches rows."""
+def _corr_fits(x_margs, x_lines, b_margs, b_lines) -> list[list[tuple[int, bool]]]:
+    """Per setting of b, the (setting of x, flip) it can sit on.  When b keeps
+    every setting of the other party, a flip only negates a setting's correlator
+    coefficient, 2 * marg + its joint sum, so the two must match up to sign;
+    otherwise free settings shift it and every pair is offered."""
+    pairs = [(k, s) for k in range(len(x_lines)) for s in (False, True)]
+    if len(x_lines[0]) > len(b_lines[0]):
+        return [pairs] * len(b_lines)
+    xs = [2 * m + sum(v) for m, v in zip(x_margs, x_lines)]
+    return [[(k, s) for k, s in pairs if xs[k] == (-u if s else u)]
+            for u in [2 * m + sum(v) for m, v in zip(b_margs, b_lines)]]
+
+
+def _place_rows(x: BellInequality, b: BellInequality, rows: tuple, cands: list, masks, evens, fits):
+    """Yield each placement ``rows[i] = (r, flip)`` from ``fits[i]`` of b's rows on
+    distinct rows of x, depth first, with ``cands[j]`` the bits that fit; ``masks`` caches rows."""
     if len(rows) == b.m_a:
         yield rows, cands
         return
     targets = b.joint[len(rows)], tuple(-v for v in b.joint[len(rows)])  # flipped: -b's row
     used = {r for r, _ in rows}
-    for r, s in itertools.product([r for r in range(x.m_a) if r not in used], (False, True)):
+    for r, s in (f for f in fits[len(rows)] if f[0] not in used):
         masks[r] = masks[r] or _value_masks(x.joint[r])
         nxt = _narrow(cands, masks[r], targets[s], evens)
         if nxt:
-            yield from _place_rows(x, b, rows + ((r, s),), nxt, masks, evens)
+            yield from _place_rows(x, b, rows + ((r, s),), nxt, masks, evens, fits)
 
 
 def _place_cols(cands: list, cols: tuple, used: int = 0):

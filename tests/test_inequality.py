@@ -318,10 +318,14 @@ def test_not_equivalent_different_shape(chsh, i3322):
 
 def test_equivalence_witness_recovery_a8(catalog):
     # Every entry against disguises in both orientations, so transposed shapes
-    # (A8) and symmetric targets (CHSH, I3322) reach the witness too.
+    # (A8) and symmetric targets (CHSH, I3322) reach the witness too.  The 8x8
+    # joints that constrain nothing (all zero, all one) leave the marginals to
+    # tell rows apart; the witness search must use them before it places a row,
+    # not after each of 8! * 2^8 placements.
     rng = np.random.default_rng(2024)
-    for entry in catalog:
-        x = entry.inequality
+    tied = [bs.BellInequality(marg, marg, ((v,) * 8,) * 8, 0)
+            for marg, v in (((1, 2, 3, 4, 5, 6, 7, 8), 0), ((1,) * 8, 0), ((1, 2, 3, 4, 5, 6, 7, 8), 1))]
+    for x in [entry.inequality for entry in catalog] + tied:
         for _ in range(10):
             moved = bs.apply_transform(x, random_transform(x.m_a, x.m_b, rng))
             for target in (moved, moved.transposed()):
