@@ -362,14 +362,10 @@ def xor_game_form(ineq: BellInequality) -> Optional[tuple[tuple[Fraction, ...], 
     game exactly when the row sums reproduce Alice's marginal coefficients and
     the column sums Bob's.
     """
-    c = tuple(tuple(Fraction(-v, 2) for v in row) for row in ineq.joint)
-    for i in range(ineq.m_a):
-        if sum(c[i]) != ineq.marg_a[i]:
+    for margs, lines in ((ineq.marg_a, ineq.joint), (ineq.marg_b, zip(*ineq.joint))):
+        if any(2 * m != -sum(line) for m, line in zip(margs, lines)):
             return None
-    for j in range(ineq.m_b):
-        if sum(c[i][j] for i in range(ineq.m_a)) != ineq.marg_b[j]:
-            return None
-    return c
+    return tuple(tuple(Fraction(-v, 2) for v in row) for row in ineq.joint)
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +534,7 @@ def _inclusion_search(x: BellInequality, b: BellInequality):
     evens = ((1 << 2 * x.m_b) - 1) // 3  # bits 2c; candidate bit 2c + t is column c, flip t
     cands = [sum(1 << 2 * c + t for c, t in fits)
              for fits in _corr_fits(x.marg_b, tuple(zip(*x.joint)), b.marg_b, tuple(zip(*b.joint)))]
-    row_fits = _corr_fits(x.marg_a, x.joint, b.marg_a, b.joint)
-    for rows, cands in _place_rows(x, b, (), cands, [None] * x.m_a, evens, row_fits):
+    for rows, cands in _row_leaves(x, b, cands, evens):
         perm_a = [r for r, _ in rows]
         perm_a += [r for r in range(x.m_a) if r not in perm_a]
         for free_a in itertools.product((False, True), repeat=x.m_a - b.m_a):
@@ -547,6 +542,8 @@ def _inclusion_search(x: BellInequality, b: BellInequality):
             sa = tuple(f for _, f in sorted(zip(perm_a, flip_a)))
             w = _weights(x, sa)
             need = x.bound - sum(itertools.compress(x.marg_a, sa)) - b.bound
+            if not sum(v for v in w if v < 0) <= need <= sum(v for v in w if v > 0):
+                continue  # no flips of Bob's reach the bound
             fits = _narrow(cands, _value_masks(w), b.marg_b, evens)
             for cols in _place_cols(fits, ()) if fits else ():
                 perm_b = [c for c, _ in cols]
@@ -583,6 +580,29 @@ def _corr_fits(x_margs, x_lines, b_margs, b_lines) -> list[list[tuple[int, bool]
     xs = [2 * m + sum(v) for m, v in zip(x_margs, x_lines)]
     return [[(k, s) for k, s in pairs if xs[k] == (-u if s else u)]
             for u in [2 * m + sum(v) for m, v in zip(b_margs, b_lines)]]
+
+
+def _row_leaves(x: BellInequality, b: BellInequality, cands: list, evens: int):
+    """The leaves of ``_place_rows`` over ``_corr_fits``, in its order.  When
+    b is a proper sub-block in both parties, every row and column is offered
+    with both flips, and flipping every setting of x maps the search onto
+    itself: targets negate and candidate bits swap in pairs (2c <-> 2c + 1).
+    So b's first row is placed unflipped only, and after the leaves of each
+    first row come their mirrors, sorted into the order of the flipped one."""
+    fits = _corr_fits(x.marg_a, x.joint, b.marg_a, b.joint)
+    masks = [None] * x.m_a
+    if x.m_a == b.m_a or x.m_b == b.m_b:
+        yield from _place_rows(x, b, (), cands, masks, evens, fits)
+        return
+    for r in range(x.m_a):
+        leaves = []
+        for leaf in _place_rows(x, b, (), cands, masks, evens, [[(r, False)]] + fits[1:]):
+            leaves.append(leaf)
+            yield leaf
+        leaves.sort(key=lambda leaf: [2 * k + (not s) for k, s in leaf[0]])
+        for rows, cs in leaves:
+            yield (tuple((k, not s) for k, s in rows),
+                   [(m & evens) << 1 | (m >> 1) & evens for m in cs])
 
 
 def _place_rows(x: BellInequality, b: BellInequality, rows: tuple, cands: list, masks, evens, fits):

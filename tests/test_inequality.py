@@ -661,6 +661,58 @@ def test_includes_past_64_bit_candidate_masks(chsh):
     assert bs.includes(broken, chsh) == (False, None)
 
 
+def test_row_leaves_mirror_the_flipped_first_rows():
+    """On a proper sub-block in both parties, the leaves of the unflipped
+    first rows followed by their mirrors are, in order, the leaves of the
+    full row placement: rows and candidate masks alike.  Zeroed entries and
+    repeated rows make ties, so placements branch; half the blocks are
+    planted, so leaves exist."""
+    rng = np.random.default_rng(102)
+    leaves = flipped_first = 0
+    for span, trial in itertools.product((1, 2), range(60)):
+        m_a, m_b = (int(v) for v in rng.integers(2, 6, size=2))
+        x = _random_small_ineq(rng, m_a, m_b, span)
+        joint = [tuple(0 if rng.random() < 0.3 else v for v in row) for row in x.joint]
+        if trial % 3 == 0:
+            joint[-1] = joint[0]
+        x = dataclasses.replace(x, joint=tuple(joint))
+        n_a, n_b = int(rng.integers(1, m_a)), int(rng.integers(1, m_b))
+        if trial % 2 == 0:
+            y = bs.apply_transform(x, random_transform(m_a, m_b, rng, allow_swap=False))
+            b = bs.BellInequality(y.marg_a[:n_a], y.marg_b[:n_b],
+                                  tuple(r[:n_b] for r in y.joint[:n_a]), y.bound)
+        else:
+            b = _random_small_ineq(rng, n_a, n_b, span)
+        evens = ((1 << 2 * m_b) - 1) // 3
+        cands = [(1 << 2 * m_b) - 1] * n_b
+        pairs = [(k, s) for k in range(m_a) for s in (False, True)]
+        full = list(bs.inequality._place_rows(x, b, (), cands, [None] * m_a, evens, [pairs] * n_a))
+        assert list(bs.inequality._row_leaves(x, b, cands, evens)) == full
+        leaves += len(full)
+        flipped_first += sum(rows[0][1] for rows, _ in full)
+    assert leaves == 2 * flipped_first > 1000
+
+
+def _tied(m, marg, bound):
+    """The m x m inequality with every marginal ``marg`` and a zero joint."""
+    return bs.BellInequality((marg,) * m, (marg,) * m, ((0,) * m,) * m, bound)
+
+
+@pytest.mark.parametrize("a, b", [
+    (_tied(5, 0, 0), _tied(5, 0, 1)),
+    (_tied(5, 0, 0), _tied(4, 0, 1)),
+    (_tied(6, 0, 0), _tied(5, 0, 1)),
+    (_tied(7, 1, 14), _tied(7, 1, 15)),
+], ids=["zero5-bound1", "zero5-zero4", "zero6-zero5", "unit7-bound15"])
+def test_includes_refutes_a_shifted_bound_before_placing_columns(a, b):
+    """Tied inequalities whose bounds differ by one: every row placement
+    fits, but no flips of Bob's reach the bound, so each flip vector of the
+    free rows is refuted by the interval of Bob's weight sums before any
+    column is placed.  Each of these searches ran past 20 s when only a
+    leaf checked the bound."""
+    assert bs.includes(a, b) == (False, None)
+
+
 # ---------------------------------------------------------------------------
 # Classical bound
 
