@@ -31,10 +31,6 @@ class CatalogEntry:
     cut_facet: Optional[str]        # descriptive provenance metadata
     meas_path: Optional[Path]
 
-    @property
-    def short_name(self) -> str:
-        return self.name.split("_", 1)[0] if self.alias else self.name
-
     def measurements(self) -> tuple[MeasurementSet, MeasurementSet]:
         if self.meas_path is None:
             raise ValueError(f"no measurement data shipped for {self.name}")

@@ -346,8 +346,9 @@ def classical_max(ineq: BellInequality) -> int:
     Walks Alice's 2^m_a outcome assignments; Bob's best response is chosen
     greedily per setting.  Flipping the outcomes of the settings on which a
     deterministic strategy outputs 1 lowers the bound by exactly that
-    strategy's value, so ``canonical_form(ineq).bound`` is
-    ``ineq.bound - classical_max(ineq)``.
+    strategy's value, so the slack ``ineq.bound - classical_max(ineq)`` is the
+    same on every equivalent form: ``are_equivalent`` compares it before any
+    search, and it is ``canonical_form(ineq).bound``.
     """
     # Iterate the smaller side for the exponential factor.
     x = ineq if ineq.m_a <= ineq.m_b else ineq.transposed()
@@ -448,6 +449,7 @@ def canonical_form(ineq: BellInequality, outcome_flips: bool = True) -> BellIneq
     (party exchange and setting permutations), the coarser identification
     under which the 16 outcome-switched CHSH variants split into two classes
     instead of one.  Cached per spelling: ``(x)`` and ``(x, True)`` are two entries.
+    A class key only: ``are_equivalent`` decides by the inclusion search.
     """
     # The form has m_a <= m_b, so one walk on the smaller party's side finds
     # every candidate.  Flipped at an optimal strategy, every marginal is
@@ -492,15 +494,17 @@ def canonical_form(ineq: BellInequality, outcome_flips: bool = True) -> BellIneq
 def are_equivalent(a: BellInequality, b: BellInequality):
     """Whether the two inequalities are related by party exchange, setting
     permutation and outcome flips; returns (flag, witness transform or None),
-    where the witness maps ``a`` onto ``b`` exactly.  Canonical forms decide;
-    the witness is the inclusion search's, which on equal shapes (or
-    transposed ones) is an equivalence search.
-    """
-    if canonical_form(a) != canonical_form(b):
+    where the witness maps ``a`` onto ``b`` exactly.  Shapes must match up to
+    the party exchange, and so must the slacks ``bound - classical_max``,
+    which flips and permutations keep; the inclusion search then decides, at
+    full size an equivalence search, and its transform is the witness."""
+    same = (sorted((a.m_a, a.m_b)) == sorted((b.m_a, b.m_b))
+            and a.bound - classical_max(a) == b.bound - classical_max(b))
+    witness = includes(a, b)[1] if same else None
+    if witness is None:
         return False, None
-    witness = includes(a, b)[1].transform
-    assert apply_transform(a, witness) == b
-    return True, witness
+    assert apply_transform(a, witness.transform) == b
+    return True, witness.transform
 
 
 # ---------------------------------------------------------------------------

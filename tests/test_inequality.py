@@ -269,11 +269,14 @@ def test_canonical_degenerate_inequality_fast():
 def test_canonical_form_guard(m_a, m_b):
     # All-zero: 2^(m_a + m_b) optimal strategies, or more settings than
     # classical_max walks; both are refused before any candidate is built.
+    # are_equivalent shares only classical_max's guard: it decides the 12 x 12
+    # (test_are_equivalent_decides_by_the_inclusion_search).
     zero = bs.BellInequality((0,) * m_a, (0,) * m_b, ((0,) * m_b,) * m_a, 0)
     with pytest.raises(ValueError, match="guard"):
         bs.canonical_form(zero)
-    with pytest.raises(ValueError, match="guard"):
-        bs.are_equivalent(zero, zero)
+    if m_a + m_b > bs.inequality.MAX_ENUM_SETTINGS:
+        with pytest.raises(ValueError, match="guard"):
+            bs.are_equivalent(zero, zero)
 
 
 def test_canonical_constant_on_random_orbit(catalog):
@@ -293,17 +296,6 @@ def test_canonical_bound_is_bound_minus_classical_max(catalog):
         for x in [ineq] + [bs.apply_transform(ineq, random_transform(ineq.m_a, ineq.m_b, rng))
                            for _ in range(5)]:
             assert bs.canonical_form(x).bound == x.bound - bs.classical_max(x)
-
-
-def test_are_equivalent_reuses_cached_canonical_forms(by_name):
-    rng = np.random.default_rng(4242)
-    a56 = by_name("A56")
-    x, y = (bs.apply_transform(a56, random_transform(5, 5, rng)) for _ in range(2))
-    bs.canonical_form(x)
-    bs.canonical_form(y)
-    misses = bs.canonical_form.cache_info().misses
-    assert bs.are_equivalent(x, y)[0]
-    assert bs.canonical_form.cache_info().misses == misses
 
 
 def test_equivalent_chsh_switched(chsh, switched_chsh):
@@ -346,6 +338,62 @@ def test_equivalence_relation_properties(catalog):
         y = bs.apply_transform(ineq, t2)
         assert bs.are_equivalent(x, ineq)[0]  # symmetric with the original
         assert bs.are_equivalent(x, y)[0]     # transitive through the orbit
+
+
+def _near_miss(x, rng):
+    """``x`` with one coefficient (marginal, joint or bound) moved by +-1."""
+    k = int(rng.integers(x.m_a + x.m_b + x.m_a * x.m_b + 1))
+    marg_a, marg_b = list(x.marg_a), list(x.marg_b)
+    joint, bound = [list(row) for row in x.joint], x.bound
+    step = int(rng.choice((-1, 1)))
+    if k < x.m_a:
+        marg_a[k] += step
+    elif k < x.m_a + x.m_b:
+        marg_b[k - x.m_a] += step
+    elif k < x.m_a + x.m_b + x.m_a * x.m_b:
+        k -= x.m_a + x.m_b
+        joint[k // x.m_b][k % x.m_b] += step
+    else:
+        bound += step
+    return bs.BellInequality(marg_a, marg_b, joint, bound)
+
+
+def test_are_equivalent_decides_by_the_inclusion_search(catalog):
+    """Shapes, slacks and then the full-size inclusion search decide, with no
+    canonical form computed.  The flags agree with canonical forms on catalog
+    pairs, disguises and one-coefficient near misses.  Tied inputs whose
+    canonical forms take seconds (identity joints) or hit the guard (the
+    all-zero 12 x 12) are decided too, and the tied negatives differ in slack."""
+    rng = np.random.default_rng(2121)
+    ineqs = [entry.inequality for entry in catalog]
+    pairs = list(itertools.product(ineqs, repeat=2))
+    smalls = [_random_small_ineq(rng, *(int(m) for m in rng.integers(1, 5, size=2)))
+              for _ in range(150)]
+    for x in ineqs + smalls:
+        moved = bs.apply_transform(x, random_transform(x.m_a, x.m_b, rng))
+        pairs += [(x, moved), (x, moved.transposed()), (x, _near_miss(moved, rng)),
+                  (x, _random_small_ineq(rng, x.m_a, x.m_b))]
+    expected = [bs.canonical_form(a) == bs.canonical_form(b) for a, b in pairs]
+    assert 0 < sum(expected) < len(expected)
+    tied_negatives = [(_tied(m, marg, bound, diag), _tied(m, marg, bound + 1, diag))
+                      for m in (5, 6, 7, 8)
+                      for marg, bound, diag in ((0, 0, 0), (1, 2 * m, 0), (0, 0, 1))]
+    ident8 = _tied(8, 0, 0, diag=1)
+    tied_positives = [(_tied(12, 0, 0),) * 2,
+                      (ident8, bs.apply_transform(ident8, random_transform(8, 8, rng)))]
+    before = bs.canonical_form.cache_info()
+    for (a, b), same in zip(pairs, expected):
+        flag, witness = bs.are_equivalent(a, b)
+        assert flag == same
+        assert (witness is not None) == flag
+        assert not flag or bs.apply_transform(a, witness) == b
+    for a, b in tied_negatives:
+        assert bs.are_equivalent(a, b) == (False, None)
+    for a, b in tied_positives:
+        flag, witness = bs.are_equivalent(a, b)
+        assert flag
+        assert bs.apply_transform(a, witness) == b
+    assert bs.canonical_form.cache_info() == before
 
 
 # ---------------------------------------------------------------------------
@@ -693,9 +741,11 @@ def test_row_leaves_mirror_the_flipped_first_rows():
     assert leaves == 2 * flipped_first > 1000
 
 
-def _tied(m, marg, bound):
-    """The m x m inequality with every marginal ``marg`` and a zero joint."""
-    return bs.BellInequality((marg,) * m, (marg,) * m, ((0,) * m,) * m, bound)
+def _tied(m, marg, bound, diag=0):
+    """The m x m inequality with every marginal ``marg`` and ``diag`` times
+    the identity as its joint."""
+    return bs.BellInequality((marg,) * m, (marg,) * m,
+                             tuple(tuple(diag * (i == j) for j in range(m)) for i in range(m)), bound)
 
 
 @pytest.mark.parametrize("a, b", [
