@@ -30,7 +30,6 @@ from .quantum import (
     alpha_crossing,
     correlations,
     dump_measurements,
-    hermitian_eig,
     isotropic_state,
     load_measurements,
     max_entangled,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -111,18 +110,6 @@ class Transform:
         if len(self.flip_a) != len(self.perm_a) or len(self.flip_b) != len(self.perm_b):
             raise ValueError("flip masks must match permutation sizes")
 
-    @staticmethod
-    def identity(m_a: int, m_b: int) -> "Transform":
-        return Transform(False, tuple(range(m_a)), tuple(range(m_b)),
-                         (False,) * m_a, (False,) * m_b)
-
-    @property
-    def is_identity(self) -> bool:
-        return (not self.swap_parties
-                and self.perm_a == tuple(range(len(self.perm_a)))
-                and self.perm_b == tuple(range(len(self.perm_b)))
-                and not any(self.flip_a) and not any(self.flip_b))
-
     def inverse(self) -> "Transform":
         inv_pa = _invert_perm(self.perm_a)
         inv_pb = _invert_perm(self.perm_b)
@@ -132,18 +119,6 @@ class Transform:
             inv_pa, inv_pb = inv_pb, inv_pa
             fa, fb = fb, fa
         return Transform(self.swap_parties, inv_pa, inv_pb, fa, fb)
-
-    def compose(self, first: "Transform") -> "Transform":
-        """Transform equal to applying ``first`` and then this transform."""
-        pa1, pb1, fa1, fb1 = first.perm_a, first.perm_b, first.flip_a, first.flip_b
-        if self.swap_parties:
-            pa1, pb1 = pb1, pa1
-            fa1, fb1 = fb1, fa1
-        perm_a = tuple(pa1[p] for p in self.perm_a)
-        perm_b = tuple(pb1[p] for p in self.perm_b)
-        flip_a = tuple(self.flip_a[i] ^ fa1[self.perm_a[i]] for i in range(len(self.perm_a)))
-        flip_b = tuple(self.flip_b[j] ^ fb1[self.perm_b[j]] for j in range(len(self.perm_b)))
-        return Transform(self.swap_parties ^ first.swap_parties, perm_a, perm_b, flip_a, flip_b)
 
     def describe(self) -> str:
         """Human-readable one-line rendering with 1-based setting labels."""
@@ -436,7 +411,6 @@ def _min_matrix(mat, row_groups, col_groups, bound=None):
     return best
 
 
-@lru_cache(maxsize=4096)
 def canonical_form(ineq: BellInequality, outcome_flips: bool = True) -> BellInequality:
     """The lexicographically minimal equivalent form; constant on equivalence
     classes and idempotent.
@@ -448,8 +422,8 @@ def canonical_form(ineq: BellInequality, outcome_flips: bool = True) -> BellIneq
     With ``outcome_flips=False`` the minimization runs over relabelings only
     (party exchange and setting permutations), the coarser identification
     under which the 16 outcome-switched CHSH variants split into two classes
-    instead of one.  Cached per spelling: ``(x)`` and ``(x, True)`` are two entries.
-    A class key only: ``are_equivalent`` decides by the inclusion search.
+    instead of one.  A class key only: ``are_equivalent`` decides by the
+    inclusion search.
     """
     # The form has m_a <= m_b, so one walk on the smaller party's side finds
     # every candidate.  Flipped at an optimal strategy, every marginal is

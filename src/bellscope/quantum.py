@@ -25,11 +25,6 @@ SEESAW_TOL = 1e-12       # see-saw convergence: least gain per sweep
 BRACKET_TOL = 1e-6       # default threshold bracket width
 
 
-def hermitian_eig(op: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
-    return np.linalg.eigh(op)
-
-
 def _hermitian_eigvals(obj, n: int, what: str, note: str = "") -> np.ndarray:
     """Store ``obj.op`` as a read-only complex n x n matrix, checked
     Hermitian, and return its ascending eigenvalues."""
@@ -261,10 +256,15 @@ def alpha_crossing(ineq: BellInequality, d: int, a: MeasurementSet,
     """Where the violation crosses zero along the isotropic family.
 
     For fixed measurements the violation is affine in alpha, so the crossing
-    is alpha* = -v0 / (v1 - v0) from the endpoint values alone.
+    is alpha* = -v0 / (v1 - v0) from the endpoint values alone.  Measurements
+    that violate at alpha = 0 (v0 > 0) show a bound below the classical
+    maximum, and raise before the degenerate case (v1 == v0).
     """
     check_measurements(d, {PARTY_A: a, PARTY_B: b}, ineq)
     v0, v1 = (float(v) for v in _isotropic_endpoints(ineq, a.ops(), b.ops()))
+    if v0 > 0:
+        raise ValueError(f"a witness violates {ineq.name or 'the inequality'} at alpha = 0: "
+                         f"its bound {ineq.bound} is below the classical maximum")
     if v1 == v0:
         raise ValueError("degenerate measurements: violation does not depend on alpha")
     raw = -v0 / (v1 - v0)
@@ -370,7 +370,7 @@ def dump_measurements(a: MeasurementSet, b: MeasurementSet) -> str:
         for index, eff in enumerate(mset.effects, start=1):
             if eff.projection_defect() > PROJECTIVE_TOL:
                 raise ValueError(f"effect {mset.party} {index} is not projective")
-            evals, evecs = hermitian_eig(eff.op)
+            evals, evecs = np.linalg.eigh(eff.op)
             rank = int((evals > 0.5).sum())
             d = eff.d
             if rank == 0:

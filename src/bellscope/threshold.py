@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .inequality import BellInequality
-from .quantum import (BRACKET_TOL, SIGNIFICANCE, _isotropic_endpoints, alpha_crossing,
-                      isotropic_state)
+from .quantum import BRACKET_TOL, SIGNIFICANCE, alpha_crossing, isotropic_state
 from .seesaw import SeesawConfig, SeesawResult, multi_restart_max
 
 
@@ -61,10 +60,6 @@ def alpha_max(ineq: BellInequality, d: int, cfg: Optional[SearchConfig] = None) 
         steps += 1
         if res.best_violation <= SIGNIFICANCE:
             break
-        # v0 > 0 is a violation at alpha = 0; alpha_crossing calls a constant one degenerate.
-        if _isotropic_endpoints(ineq, res.best_a.ops(), res.best_b.ops())[0] > 0:
-            raise ValueError(f"a witness violates {ineq.name or 'the inequality'} at alpha = 0: "
-                             f"its bound {ineq.bound} is below the classical maximum")
         upper, witness = alpha_crossing(ineq, d, res.best_a, res.best_b).alpha, res
         alpha = max(upper - cfg.bracket_tol, 0.0)
         while upper - alpha > cfg.bracket_tol:  # undo the rounding of the subtraction

@@ -1,4 +1,5 @@
 """Operator arithmetic, isotropic states, trace-rule correlations, crossings."""
+import dataclasses
 import re
 import tokenize
 from pathlib import Path
@@ -13,7 +14,6 @@ from bellscope.quantum import (
     MeasurementSet,
     _isotropic_endpoints,
     dump_measurements,
-    hermitian_eig,
     parse_measurements,
 )
 
@@ -151,16 +151,6 @@ def test_tolerances_live_in_one_table():
     assert rows == list(range(rows[0], rows[0] + len(rows))), "the table must be one block"
     for _, _, line in found:
         assert re.match(r"[A-Z_]+ = \S+\s+# \S", line), line
-
-
-def test_hermitian_eig_residual():
-    rng = np.random.default_rng(1)
-    for n in (2, 3, 4, 9):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (g + g.conj().T) / 2
-        evals, evecs = hermitian_eig(h)
-        residual = np.abs(h @ evecs - evecs * evals).max()
-        assert residual <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +381,19 @@ def test_alpha_crossing_degenerate(chsh):
     b = MeasurementSet("B", (Effect(3, np.eye(3)), Effect(3, np.eye(3))))
     with pytest.raises(ValueError, match="degenerate"):
         bs.alpha_crossing(chsh, 3, a, b)
+
+
+def test_alpha_crossing_rejects_a_violation_at_alpha_zero(chsh):
+    """v0 > 0 shows a bound below the classical maximum, also when the
+    violation is constant in alpha (v0 = v1) or never crosses zero."""
+    ones = bs.parse_cg("cg 1 1 -1\n0\n0 0\n")
+    a, b = (MeasurementSet(p, (Effect(2, np.eye(2)),)) for p in ("A", "B"))
+    with pytest.raises(ValueError, match="below the classical maximum"):
+        bs.alpha_crossing(ones, 2, a, b)
+    low = dataclasses.replace(chsh, bound=-1)
+    a, b = bs.measurements_from_vectors(bs.tsirelson_vectors(), 3)
+    with pytest.raises(ValueError, match="below the classical maximum"):
+        bs.alpha_crossing(low, 3, a, b)
 
 
 def random_effect_stack(d, m, rng):
