@@ -22,6 +22,7 @@ MIN_VECTOR_NORM = 1e-9   # shortest vector a .meas file may hold
 EIG_CUTOFF = 1e-14       # see-saw projectors keep eigenvalues above this
 SIGNIFICANCE = 1e-13     # a violation counts only above this
 SEESAW_TOL = 1e-12       # see-saw convergence: least gain per sweep
+RETIRE_MARGIN = 1e-6     # a probe's restart retires when headed this far below stop_at
 BRACKET_TOL = 1e-6       # default threshold bracket width
 
 

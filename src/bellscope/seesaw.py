@@ -14,12 +14,16 @@ from typing import Optional
 import numpy as np
 
 from .inequality import BellInequality, PARTY_A, PARTY_B
-from .quantum import (EIG_CUTOFF, SEESAW_TOL, DensityMatrix, Effect, MeasurementSet,
-                      check_measurements)
+from .quantum import (EIG_CUTOFF, RETIRE_MARGIN, SEESAW_TOL, DensityMatrix, Effect,
+                      MeasurementSet, check_measurements)
 
 # Restarts run in chunks of 1, 2, 4, ... up to this size; restart 0 runs alone.
 MAX_CHUNK = 256
 MAX_ITERS = 500  # sweeps a restart may take before it stops unconverged
+# The retire rule of a run with a stop_at (_Engine.run): the value is extrapolated
+# RETIRE_GAIN sweeps at its last gain, and must stay low for RETIRE_SWEEPS sweeps.
+RETIRE_GAIN = 1000
+RETIRE_SWEEPS = 3
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,7 @@ class SeesawResult:
     iters_used: int
     restart_index: int
     converged: bool
+    retired: int = 0  # restarts the retire rule stopped, of those that count
 
 
 def _project(ops: np.ndarray) -> np.ndarray:
@@ -90,32 +95,39 @@ class _Engine:
         return ((hs * fs.conj()).real.sum(axis=(-3, -2, -1))
                 + (self.maps[PARTY_A][1] * es.conj()).real.sum(axis=(-3, -2, -1)) - self.bound)
 
-    def run(self, es: np.ndarray, fs: np.ndarray):
+    def run(self, es: np.ndarray, fs: np.ndarray, stop_at: Optional[float] = None):
         """Alternate full A/B sweeps on (R, m, d, d) stacks until each
         restart's improvement drops below SEESAW_TOL, for at most MAX_ITERS
-        sweeps.  Live restarts form a compacted stack; a finished one leaves
-        it and is written back to es and fs in place.  Returns (es, fs,
-        values, iters, converged)."""
+        sweeps.  With ``stop_at``, a restart also retires, unconverged, once
+        ``new + RETIRE_GAIN * (new - old) < stop_at - RETIRE_MARGIN`` has held
+        for RETIRE_SWEEPS sweeps in a row, ``old`` and ``new`` being its
+        values before and after a sweep.  Live restarts form a compacted
+        stack; a finished one leaves it and is written back to es and fs in
+        place.  Returns (es, fs, values, iters, converged, retired)."""
         values = self.objective(es, fs)
         iters = np.full(len(values), MAX_ITERS)
-        converged = np.zeros(len(values), dtype=bool)
-        live, f, old = np.arange(len(values)), fs, values
+        converged, retired = np.zeros(len(values), dtype=bool), np.zeros(len(values), dtype=bool)
+        floor = -np.inf if stop_at is None else stop_at - RETIRE_MARGIN
+        live, f, old, streak = np.arange(len(values)), fs, values, np.zeros(len(values), dtype=int)
         for it in range(1, MAX_ITERS + 1):
             e = _project(self.operators(PARTY_A, f))
             f = _project(hs := self.operators(PARTY_B, e))
             new = self.objective(e, f, hs)
             done = new - old < SEESAW_TOL
-            if done.any():
-                rows, keep = live[done], ~done
-                es[rows], fs[rows], iters[rows] = e[done], f[done], it
-                values[rows], converged[rows] = np.maximum(old[done], new[done]), True
-                live, e, f, new = live[keep], e[keep], f[keep], new[keep]
+            streak = np.where(new + RETIRE_GAIN * (new - old) < floor, streak + 1, 0)
+            leave = done | (streak >= RETIRE_SWEEPS)
+            if leave.any():
+                rows, keep = live[leave], ~leave
+                es[rows], fs[rows], iters[rows] = e[leave], f[leave], it
+                values[rows] = np.maximum(old[leave], new[leave])
+                converged[rows], retired[rows] = done[leave], ~done[leave]
+                live, e, f, new, streak = live[keep], e[keep], f[keep], new[keep], streak[keep]
                 if not live.size:
                     break
             old = new
         else:
             es[live], fs[live], values[live] = e, f, old
-        return es, fs, values, iters, converged
+        return es, fs, values, iters, converged, retired
 
 
 # numpy's SeedSequence hash constants (O'Neill's seed_seq_fe), replayed by _seed_words.
@@ -209,23 +221,30 @@ def multi_restart_max(ineq: BellInequality, rho: DensityMatrix, cfg: SeesawConfi
     against the inequality and the state.  When ``stop_at`` is given,
     restarts are abandoned (in index order) once the best violation exceeds
     it -- the best-so-far is still an exact see-saw local optimum, just not
-    the best of all ``cfg.restarts`` starts.
+    the best of all ``cfg.restarts`` starts.  ``stop_at`` also turns on the
+    kernel's retire rule (``_Engine.run``): a restart whose value is headed
+    below it is stopped unconverged, so a probe decides by sign and need not
+    bring every restart to convergence.  ``retired`` counts the restarts
+    that rule stopped among those that count.  Without ``stop_at`` the
+    result is the best over all restarts, each run to convergence.
     """
     if warm_start is not None:
         init_a, init_b = warm_start
         check_measurements(rho.d, {PARTY_A: init_a, PARTY_B: init_b}, ineq)
     eng = _Engine(ineq, rho)
     best = None  # (violation, index, es, fs, iters, converged)
-    lo = 0
+    lo = retired = 0
     while lo < cfg.restarts:
         chunk = range(lo, min(2 * lo + 1, lo + MAX_CHUNK, cfg.restarts))
         if lo == 0 and warm_start is not None:
             ops = np.concatenate([init_a.ops(), init_b.ops()])[None]
         else:
             ops = _initial(rho.d, ineq.m_a + ineq.m_b, chunk, cfg.base_seed, step_key)
-        es, fs, values, iters, converged = eng.run(ops[:, :ineq.m_a], ops[:, ineq.m_a:])
+        es, fs, values, iters, converged, gone = eng.run(ops[:, :ineq.m_a], ops[:, ineq.m_a:],
+                                                         stop_at)
         if stop_at is not None and (values > stop_at).any():  # nothing after the first hit counts
             values = values[:np.argmax(values > stop_at) + 1]
+        retired += int(gone[:len(values)].sum())
         k = int(np.argmax(values))
         if best is None or values[k] > best[0]:
             best = (float(values[k]), lo + k, es[k], fs[k], int(iters[k]), bool(converged[k]))
@@ -235,4 +254,4 @@ def multi_restart_max(ineq: BellInequality, rho: DensityMatrix, cfg: SeesawConfi
 
     value, index, es, fs, iters, converged = best
     return SeesawResult(value, _package(PARTY_A, es), _package(PARTY_B, fs),
-                        iters, index, converged)
+                        iters, index, converged, retired)

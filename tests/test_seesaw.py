@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bellscope as bs
-from bellscope.quantum import Effect, MeasurementSet, random_projective_measurement
+from bellscope.quantum import SIGNIFICANCE, Effect, MeasurementSet, random_projective_measurement
 from bellscope.seesaw import (SeesawConfig, _Engine, _initial, _seed_words, multi_restart_max,
                               optimize_party, seesaw)
 
@@ -184,22 +184,28 @@ def test_stop_at_and_warm_start_match_replay(by_name, name, alpha, seed):
     ("A27", 3, 0.74), ("A2_CHSH", 2, 0.7), ("A5", 3, 0.8), ("I4422_1", 3, 0.8)])
 def test_results_do_not_depend_on_chunk_size(by_name, name, d, alpha):
     """The same seeded restarts run as one stack, one at a time and in chunks
-    of 7 agree bit for bit, including when masking leaves one restart."""
+    of 7 agree bit for bit, including when masking leaves one restart, with
+    and without the retire rule of a stop_at."""
     ineq = by_name(name)
     eng = _Engine(ineq, bs.isotropic_state(d, alpha))
     total = 22
 
-    def run(size):
+    def run(size, stop_at):
         parts = []
         for lo in range(0, total, size):
             ops = _initial(d, ineq.m_a + ineq.m_b, range(lo, min(lo + size, total)), 3, (1,))
-            parts.append(eng.run(ops[:, :ineq.m_a], ops[:, ineq.m_a:]))
+            parts.append(eng.run(ops[:, :ineq.m_a], ops[:, ineq.m_a:], stop_at))
         return [np.concatenate(arrays) for arrays in zip(*parts)]
 
-    whole = run(total)
-    for size in (1, 7):
-        for got, want in zip(run(size), whole):
-            assert np.array_equal(got, want)
+    for stop_at in (None, SIGNIFICANCE):
+        whole = run(total, stop_at)
+        converged, retired = whole[-2:]
+        # CHSH's restarts converge in two sweeps, before any can retire.
+        assert retired.any() == (stop_at is not None and name != "A2_CHSH")
+        assert not (converged & retired).any()
+        for size in (1, 7):
+            for got, want in zip(run(size, stop_at), whole):
+                assert np.array_equal(got, want)
 
 
 def test_chsh_just_above_threshold_is_detected(chsh):

@@ -4,6 +4,7 @@ import pytest
 
 import bellscope as bs
 import bellscope.threshold as threshold_mod
+from bellscope import seesaw as seesaw_mod
 from bellscope.quantum import ROUNDING_TOL
 from bellscope.seesaw import SeesawConfig
 from bellscope.threshold import SIGNIFICANCE, SearchConfig, alpha_max
@@ -14,6 +15,36 @@ SQRT2 = np.sqrt(2.0)
 def quick_cfg(restarts=40, tol=5e-4, seed=0, **kw):
     return SearchConfig(bracket_tol=tol,
                         seesaw=SeesawConfig(restarts=restarts, base_seed=seed), **kw)
+
+
+@pytest.mark.parametrize("name, d, tol, seed", [
+    ("A2_CHSH", 2, 5e-5, 101), ("A3_I3322", 3, 1e-4, 203), ("A8", 3, 1e-4, 206)])
+def test_retire_rule_changes_no_search(by_name, monkeypatch, name, d, tol, seed):
+    """Criterion 3's searches give the same estimate and witness with the
+    see-saw's retire rule switched off (it needs more sweeps in a row than
+    a restart may take)."""
+    ineq, cfg = by_name(name), quick_cfg(restarts=200, tol=tol, seed=seed)
+    probes = []
+
+    def recorded(*args, **kwargs):
+        probes.append(bs.multi_restart_max(*args, **kwargs))
+        return probes[-1]
+
+    monkeypatch.setattr(threshold_mod, "multi_restart_max", recorded)
+    on = alpha_max(ineq, d, cfg)
+    if name == "A3_I3322":  # the last probe decides by sign; without stop_at nothing retires
+        last = probes[-1]
+        assert last.best_violation <= SIGNIFICANCE and last.retired > 0
+        full = bs.multi_restart_max(ineq, bs.isotropic_state(d, on.alpha_lower), cfg.seesaw,
+                                    step_key=(on.steps - 1,))
+        assert full.retired == 0 and full.best_violation <= SIGNIFICANCE
+    monkeypatch.setattr(seesaw_mod, "RETIRE_SWEEPS", seesaw_mod.MAX_ITERS + 1)
+    off = alpha_max(ineq, d, cfg)
+    assert not any(res.retired for res in probes[on.steps:])
+    fields = ("name", "d", "alpha_upper", "alpha_lower", "config", "steps", "no_violation")
+    assert [getattr(on, f) for f in fields] == [getattr(off, f) for f in fields]
+    witness = ("best_violation", "restart_index", "iters_used")
+    assert [getattr(on.witness, f) for f in witness] == [getattr(off.witness, f) for f in witness]
 
 
 def test_chsh_d2_threshold(chsh):
