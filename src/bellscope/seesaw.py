@@ -17,7 +17,7 @@ from .inequality import BellInequality, PARTY_A, PARTY_B
 from .quantum import (EIG_CUTOFF, RETIRE_MARGIN, SEESAW_TOL, DensityMatrix, Effect,
                       MeasurementSet, check_measurements)
 
-# Restarts run in chunks of 1, 2, 4, ... up to this size; restart 0 runs alone.
+# Restarts run in chunks of 1, 4, 16, ... up to this size; restart 0 runs alone.
 MAX_CHUNK = 256
 MAX_ITERS = 500  # sweeps a restart may take before it stops unconverged
 # The retire rule of a run with a stop_at (_Engine.run): the value is extrapolated
@@ -156,36 +156,56 @@ def _seed_words(base_seed: int, step_key: tuple, restarts: range) -> np.ndarray:
     return lo | hi << 32
 
 
+@dataclass
 class _Words(np.random.bit_generator.ISeedSequence):
     """Precomputed seed words; PCG64 asks for exactly four uint64."""
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    words: np.ndarray
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words
 
 
 def _initial(d: int, m: int, restarts: range, base_seed: int, step_key: tuple) -> np.ndarray:
-    """Random projective starts, (R, m, d, d).  Restart i draws from
-    default_rng(SeedSequence(base_seed, spawn_key=(*step_key, i))), seeded bit
-    for bit from _seed_words: per effect, its rank uniformly from 1..d-1 (a
-    draw that consumes nothing at d = 2, so skipped), then the real and
-    imaginary parts of a Gaussian d x rank matrix whose Q factor spans a
-    Haar-random subspace.  The QR runs batched, once per rank."""
-    groups = {}  # rank -> [(effect position, real and imaginary parts)]
-    for r, words in enumerate(_seed_words(base_seed, step_key, restarts)):
-        rng = np.random.Generator(np.random.PCG64(_Words(words)))
-        for k in range(r * m, r * m + m):
-            rank = 1 + int(rng.integers(d - 1)) if d > 2 else 1
-            groups.setdefault(rank, []).append((k, rng.standard_normal(2 * d * rank)))
-    ops = np.empty((len(restarts) * m, d, d), dtype=complex)
-    for rank, group in groups.items():
-        pos, draws = zip(*group)
-        g = np.reshape(draws, (len(pos), 2, d, rank))
+    """_starts for ``restarts``, seed words and all."""
+    return _starts(d, m, _seed_words(base_seed, step_key, restarts))
+
+
+def _starts(d: int, m: int, words: np.ndarray) -> np.ndarray:
+    """Random projective starts, (R, m, d, d), bit for bit those of
+    default_rng(SeedSequence(base_seed, spawn_key=(*step_key, i))) seeded by
+    row i of ``words``.  Per effect: a rank uniform on 1..d-1, replayed from raw
+    PCG64 words as ``integers(d - 1)`` draws it (Lemire's method on 32-bit
+    halves, the high one buffered), then 2*d*rank Gaussians, which never read
+    that buffer: one call per raw word.  A batched QR per rank gives projectors."""
+    ranks, used, reject = [], 0, (1 << 32) % (d - 1)  # Lemire redraws a low word below it
+    flat = np.empty(len(words) * m * 2 * d * (d - 1))  # room for every effect at rank d - 1
+    for w in words:
+        bits = np.random.PCG64(_Words(w))
+        normal, half, drawn = np.random.Generator(bits).standard_normal, None, used
+        for _ in range(m):
+            rank = 1
+            while d > 2:
+                if half is None:  # a raw word; first the Gaussians drawn before it
+                    if drawn < used:
+                        normal(out=flat[drawn:used])
+                    x, drawn = bits.random_raw(), used
+                    x, half = x & MASK32, x >> 32
+                else:
+                    x, half = half, None
+                if x * (d - 1) & MASK32 >= reject:
+                    rank += x * (d - 1) >> 32
+                    break
+            ranks.append((rank, used))  # and where its draws start in flat
+            used += 2 * d * rank
+        normal(out=flat[drawn:used])
+    rank_of, first = np.array(ranks).T
+    ops = np.empty((len(ranks), d, d), dtype=complex)
+    for rank in set(rank_of.tolist()):
+        g = flat[first[rank_of == rank, None] + np.arange(2 * d * rank)].reshape(-1, 2, d, rank)
         q, _ = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-        ops[list(pos)] = q @ q.conj().swapaxes(-1, -2)
-    return ops.reshape(len(restarts), m, d, d)
+        ops[rank_of == rank] = q @ q.conj().swapaxes(-1, -2)
+    return ops.reshape(len(words), m, d, d)
 
 
 def _package(party: str, ops: np.ndarray) -> MeasurementSet:
@@ -214,32 +234,32 @@ def multi_restart_max(ineq: BellInequality, rho: DensityMatrix, cfg: SeesawConfi
                       step_key: tuple = ()) -> SeesawResult:
     """Best see-saw outcome over seeded restarts.
 
-    Restart ``i`` draws its initial measurements from a generator seeded by
-    (base_seed, *step_key, i), so results do not depend on how restarts are
-    grouped; ties keep the lowest restart index.  ``warm_start``, Alice's set
-    then Bob's, replaces restart 0's random initialization and is checked
-    against the inequality and the state.  When ``stop_at`` is given,
-    restarts are abandoned (in index order) once the best violation exceeds
-    it -- the best-so-far is still an exact see-saw local optimum, just not
-    the best of all ``cfg.restarts`` starts.  ``stop_at`` also turns on the
-    kernel's retire rule (``_Engine.run``): a restart whose value is headed
-    below it is stopped unconverged, so a probe decides by sign and need not
-    bring every restart to convergence.  ``retired`` counts the restarts
-    that rule stopped among those that count.  Without ``stop_at`` the
-    result is the best over all restarts, each run to convergence.
-    """
+    Restart ``i`` starts from _starts' stream for (base_seed, *step_key, i),
+    so no result depends on how restarts are grouped into chunks (of 1, 4,
+    16, ... up to MAX_CHUNK) or seed-word blocks (of up to MAX_CHUNK); ties
+    keep the lowest index.  ``warm_start``, Alice's set then Bob's, replaces
+    restart 0's start and is checked against the inequality and the state.
+    With ``stop_at``, restarts are abandoned (in index order) once the best
+    violation exceeds it -- the best-so-far is still an exact see-saw local
+    optimum, just not the best of all ``cfg.restarts`` -- and the kernel's
+    retire rule (``_Engine.run``) stops a restart headed below it, so a probe
+    decides by sign; ``retired`` counts those among the restarts that count.
+    Without ``stop_at``, every restart runs to convergence."""
     if warm_start is not None:
         init_a, init_b = warm_start
         check_measurements(rho.d, {PARTY_A: init_a, PARTY_B: init_b}, ineq)
     eng = _Engine(ineq, rho)
     best = None  # (violation, index, es, fs, iters, converged)
-    lo = retired = 0
+    lo, retired, block = 0, 0, range(0)  # block: the restarts whose seed words are at hand
     while lo < cfg.restarts:
-        chunk = range(lo, min(2 * lo + 1, lo + MAX_CHUNK, cfg.restarts))
+        chunk = range(lo, min(4 * lo + 1, lo + MAX_CHUNK, cfg.restarts))
         if lo == 0 and warm_start is not None:
             ops = np.concatenate([init_a.ops(), init_b.ops()])[None]
         else:
-            ops = _initial(rho.d, ineq.m_a + ineq.m_b, chunk, cfg.base_seed, step_key)
+            if chunk.stop > block.stop:
+                block = range(lo, min(lo + MAX_CHUNK, cfg.restarts))
+                words = _seed_words(cfg.base_seed, step_key, block)
+            ops = _starts(rho.d, ineq.m_a + ineq.m_b, words[lo - block.start:][:len(chunk)])
         es, fs, values, iters, converged, gone = eng.run(ops[:, :ineq.m_a], ops[:, ineq.m_a:],
                                                          stop_at)
         if stop_at is not None and (values > stop_at).any():  # nothing after the first hit counts

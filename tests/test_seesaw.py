@@ -7,8 +7,8 @@ import pytest
 
 import bellscope as bs
 from bellscope.quantum import SIGNIFICANCE, Effect, MeasurementSet, random_projective_measurement
-from bellscope.seesaw import (SeesawConfig, _Engine, _initial, _seed_words, multi_restart_max,
-                              optimize_party, seesaw)
+from bellscope.seesaw import (MASK32, SeesawConfig, _Engine, _initial, _seed_words, _starts,
+                              _Words, multi_restart_max, optimize_party, seesaw)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -267,6 +267,76 @@ def test_initial_is_the_documented_stream(d, base_seed):
         for restarts in RANGES:
             assert np.array_equal(_initial(d, 3, restarts, base_seed, step_key),
                                   _documented_initial(d, 3, restarts, base_seed, step_key))
+
+
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _words_at_state_zero(inc):
+    """Seed words from which PCG64 starts at state 0 with increment ``inc``
+    (odd).  Its first raw word is then XSL-RR of the state inc: the xor of
+    inc's 64-bit halves, rotated right by inc >> 122.  PCG64 seeds with
+    increment 2 * seq + 1 and state (inc + init) * MULT + inc."""
+    init = (-inc * pow(PCG_MULT, -1, 1 << 128) - inc) % (1 << 128)
+    words = [init >> 64, init & 2**64 - 1, inc >> 65, inc >> 1 & 2**64 - 1]
+    return np.array([words], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("d", [4, 7])
+@pytest.mark.parametrize("inc, zero_half", [
+    # First raw word 0x2468ACE1: effect 1's rank draw reads the buffered high
+    # half, so PCG64 is at has_uint32=1, uinteger=0 there.
+    (2 << 64 | 0x2468ACE3, 32),
+    # First raw word 7 << 32: effect 0's rank draw reads a zero low half.
+    ((7 << 32 | 1) << 64 | 1, 0)])
+def test_rank_replay_redraws_where_lemire_rejects(d, inc, zero_half):
+    """A 32-bit draw of 0 is rejected by Lemire's method whenever d - 1 is not
+    a power of two; no seeded restart meets one in practice (about 2**-32 per
+    draw), so the case is built from a crafted PCG64 state.  The replay must
+    redraw exactly where Generator.integers(d - 1) does."""
+    assert (1 << 32) % (d - 1) > 0  # so a zero draw is rejected
+    words = _words_at_state_zero(inc)
+    bits = np.random.PCG64(_Words(words[0]))
+    assert bits.state["state"] == {"state": 0, "inc": inc}
+    assert bits.random_raw() >> zero_half & MASK32 == 0
+    rng = np.random.Generator(np.random.PCG64(_Words(words[0])))
+    want = []
+    for k in range(4):
+        if k == 1 and zero_half == 32:
+            state = rng.bit_generator.state
+            assert (state["has_uint32"], state["uinteger"]) == (1, 0)
+        rank = 1 + int(rng.integers(d - 1))
+        g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+        q, _ = np.linalg.qr(g)
+        want.append(q @ q.conj().T)
+    assert np.array_equal(_starts(d, 4, words), np.reshape(want, (1, 4, d, d)))
+
+
+@pytest.mark.parametrize("stop_at", [None, SIGNIFICANCE])
+def test_seed_word_blocks_do_not_change_results(chsh, monkeypatch, stop_at):
+    """300 restarts need two seed-word blocks of MAX_CHUNK = 256; blocks of 7
+    start inside chunks and span them, blocks of 1 hold one restart each.
+    All give the same result bit for bit.  No restart violates at this alpha,
+    so all 300 run also with a stop_at."""
+    rho, cfg = bs.isotropic_state(2, 0.7), SeesawConfig(restarts=300, base_seed=21)
+    blocks = []
+    monkeypatch.setattr("bellscope.seesaw._seed_words",
+                        lambda *args: blocks.append(args[2]) or _seed_words(*args))
+
+    def run():
+        res = multi_restart_max(chsh, rho, cfg, stop_at=stop_at, step_key=(4,))
+        return (res.best_violation, res.restart_index, res.iters_used, res.converged,
+                res.retired, res.best_a.ops(), res.best_b.ops())
+
+    want = run()
+    assert want[0] < 0 and blocks == [range(0, 256), range(85, 300)]
+    for size, count in ((7, 44), (1, 300)):
+        monkeypatch.setattr("bellscope.seesaw.MAX_CHUNK", size)
+        blocks.clear()
+        got = run()
+        assert len(blocks) == count and blocks[-1].stop == 300
+        assert got[:5] == want[:5]
+        assert np.array_equal(got[5], want[5]) and np.array_equal(got[6], want[6])
 
 
 def test_package_attribute_seesaw_is_the_module():
