@@ -8,6 +8,7 @@ between identical runs.  Exit codes: 0 success, 2 usage error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import platform
 import sys
 import time
@@ -156,6 +157,7 @@ def cmd_classical(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellscope",

@@ -652,10 +652,9 @@ def inclusion_digraph(ineqs: Iterable[BellInequality]) -> list[tuple[str, str]]:
     order = sorted(entries, key=lambda e: e.m_a * e.m_b)  # small pairs decide larger ones
     arcs, absent = set(), set()
     for x, y in itertools.permutations(order, 2):
-        # Inclusion is transitive: x ⊇ c ⊇ y gives yes, y ⊇ c with x ⊉ c gives no.
-        if any((x.name, c) in arcs and (c, y.name) in arcs for c in names):
-            arcs.add((x.name, y.name))
-        elif any((y.name, c) in arcs and (x.name, c) in absent for c in names):
+        # Transitivity: y ⊇ c with x ⊉ c gives no.  x ⊇ c ⊇ y cannot give yes, as
+        # (x, c) is known first only for c no larger than y, and then c ⊇ y is a cycle.
+        if any((y.name, c) in arcs and (x.name, c) in absent for c in names):
             absent.add((x.name, y.name))
         else:
             (arcs if includes(x, y)[0] else absent).add((x.name, y.name))

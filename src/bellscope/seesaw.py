@@ -166,11 +166,6 @@ class _Words(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _initial(d: int, m: int, restarts: range, base_seed: int, step_key: tuple) -> np.ndarray:
-    """_starts for ``restarts``, seed words and all."""
-    return _starts(d, m, _seed_words(base_seed, step_key, restarts))
-
-
 def _starts(d: int, m: int, words: np.ndarray) -> np.ndarray:
     """Random projective starts, (R, m, d, d), bit for bit those of
     default_rng(SeedSequence(base_seed, spawn_key=(*step_key, i))) seeded by

@@ -50,8 +50,6 @@ def alpha_max(ineq: BellInequality, d: int, cfg: Optional[SearchConfig] = None) 
     until a probe finds no violation above the significance threshold.  Probe
     k seeds its cold restarts with step key (k,), so the search is deterministic.
     """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
     cfg = cfg or SearchConfig()
     alpha, upper, witness, steps = 1.0, 1.0, None, 0
     while True:

@@ -104,6 +104,23 @@ def test_restart_default_is_shared():
         assert build_parser().parse_args(argv).restarts == default
 
 
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    """main builds its parser once, and a parse keeps nothing from the last."""
+    assert build_parser() is build_parser()
+    assert run(capsys, "classical", "--ineq", "A1")[0] == 0
+
+    def no_new_parser(*args, **kwargs):
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli_mod.argparse.ArgumentParser, "__init__", no_new_parser)
+    assert run(capsys, "classical", "--ineq", "CHSH")[0] == 0
+    monkeypatch.undo()
+    build_parser().parse_args(["violate", "--ineq", "A8", "--d", "3", "--alpha", "0.5",
+                               "--seed", "4", "--restarts", "9", "--dump-measurements", "x"])
+    argv = ["violate", "--ineq", "CHSH", "--d", "2", "--alpha", "0.9"]
+    assert build_parser().parse_args(argv) == build_parser.__wrapped__().parse_args(argv)
+
+
 def test_violate_dump_measurements(capsys, tmp_path):
     path = tmp_path / "m.meas"
     code, out, _ = run(capsys, "violate", "--ineq", "CHSH", "--d", "2",
@@ -314,7 +331,8 @@ def test_malformed_file_exits_3(capsys, tmp_path):
 @pytest.mark.parametrize("content, message", [
     (b"cg 2 2 0\n-1 0\n-1 x 1\n0 1 -1\n", "error: line 3: non-integer coefficient 'x'"),
     (b"cg 1 1 0\n\xff\n0 -1\n", "error: 'utf-8' codec can't decode byte 0xff in position 9"),
-], ids=["malformed", "undecodable"])
+    (b"cg 2 1 0\n0\n0 1 1\n", "error: line 2: expected 2 Alice marginal coefficients, got 1"),
+], ids=["malformed", "undecodable", "short-alice-marginals"])
 def test_file_errors_name_their_file(capsys, tmp_path, content, message):
     good, bad = tmp_path / "good.cg", tmp_path / "bad.cg"
     good.write_text("cg 2 2 0\n-1 0\n-1 1 1\n0 1 -1\n")

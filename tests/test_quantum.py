@@ -497,19 +497,27 @@ def test_parse_measurements_rejects_duplicates():
         parse_measurements(text)
 
 
-@pytest.mark.parametrize("text, line, what", [
-    ("effect A 1 proj\n1 0 0 0\n# note\n\neffect B x proj\n1 0 0 0\n", 5, "index"),
-    ("effect A 1 proj\n1 0 0 0\neffect B 1 proj\n1 0 abc 0\n", 4, "number"),
-    ("# header\neffect A 1 proj\n1 0 0\n", 3, "re/im"),
+@pytest.mark.parametrize("text, line, what, counts", [
+    ("effect A 1 proj\n1 0 0 0\n# note\n\neffect B x proj\n1 0 0 0\n", 5, "index", ()),
+    ("effect A 1 proj\n1 0 0 0\neffect B 1 proj\n1 0 abc 0\n", 4, "number", ()),
+    ("# header\neffect A 1 proj\n1 0 0\n", 3, "re/im", ()),
     ("effect A 1 proj\n1 0 0 0\n\neffect B 1 proj\neffect B 2 proj\n0 0 1 0\n", 4,
-     "missing vector"),
-    ("effect A 1 proj\n1 0 0 0\neffect B 1 complement\n", 3, "missing vector"),
-    ("effect A 1 proj\n1 0 0 inf\neffect B 1 zero\n", 2, "not finite"),
+     "missing vector", ()),
+    ("effect A 1 proj\n1 0 0 0\neffect B 1 complement\n", 3, "missing vector", ()),
+    ("effect A 1 proj\n1 0 0 inf\neffect B 1 zero\n", 2, "not finite", ()),
+    ("effect A 1 proj\n1 0 0 0\neffect C 1 proj\n1 0 0 0\n", 3, "unknown party 'C'", ()),
+    ("effect A 1 proj\n1e-12 0 0 0\neffect B 1 zero\n", 2, "vector norm too small$", ()),
+    ("effect A 1 proj\n1 0 0 0\neffect B 1 proj\n1 0 0 0 0 0\n", 3,
+     "vector dimension 3 differs from 2", ()),
+    ("effect A 1 proj\n1 0 0 0\n", 2, "no effects for party B", ()),
+    ("effect A 1 proj\n1 0 0 0\neffect B 1 zero\n", 1, "party A: expected 2 effects, found 1",
+     (2, 1)),
 ], ids=["bad-index", "bad-number", "odd-count", "vector-missing", "vector-missing-at-end",
-        "non-finite"])
-def test_parse_measurements_errors_name_their_line(text, line, what):
+        "non-finite", "unknown-party", "short-vector", "dimension-mismatch", "party-missing",
+        "count-mismatch"])
+def test_parse_measurements_errors_name_their_line(text, line, what, counts):
     with pytest.raises(bs.CgParseError, match=rf"^line {line}: .*{what}") as info:
-        parse_measurements(text)
+        parse_measurements(text, *counts)
     assert info.value.line == line
 
 

@@ -7,8 +7,8 @@ import pytest
 
 import bellscope as bs
 from bellscope.quantum import SIGNIFICANCE, Effect, MeasurementSet, random_projective_measurement
-from bellscope.seesaw import (MASK32, SeesawConfig, _Engine, _initial, _seed_words, _starts,
-                              _Words, multi_restart_max, optimize_party, seesaw)
+from bellscope.seesaw import (MASK32, SeesawConfig, _Engine, _seed_words, _starts, _Words,
+                              multi_restart_max, optimize_party, seesaw)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -193,7 +193,8 @@ def test_results_do_not_depend_on_chunk_size(by_name, name, d, alpha):
     def run(size, stop_at):
         parts = []
         for lo in range(0, total, size):
-            ops = _initial(d, ineq.m_a + ineq.m_b, range(lo, min(lo + size, total)), 3, (1,))
+            words = _seed_words(3, (1,), range(lo, min(lo + size, total)))
+            ops = _starts(d, ineq.m_a + ineq.m_b, words)
             parts.append(eng.run(ops[:, :ineq.m_a], ops[:, ineq.m_a:], stop_at))
         return [np.concatenate(arrays) for arrays in zip(*parts)]
 
@@ -265,7 +266,7 @@ def test_seed_words_match_seed_sequence(base_seed):
 def test_initial_is_the_documented_stream(d, base_seed):
     for step_key in STEP_KEYS:
         for restarts in RANGES:
-            assert np.array_equal(_initial(d, 3, restarts, base_seed, step_key),
+            assert np.array_equal(_starts(d, 3, _seed_words(base_seed, step_key, restarts)),
                                   _documented_initial(d, 3, restarts, base_seed, step_key))
 
 

@@ -127,5 +127,5 @@ def test_bracket_tol_must_be_positive_and_finite(tol):
 
 
 def test_dimension_guard(chsh):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
         alpha_max(chsh, 1, quick_cfg())
