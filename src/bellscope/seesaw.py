@@ -21,8 +21,10 @@ from .quantum import (EIG_CUTOFF, RETIRE_MARGIN, SEESAW_TOL, DensityMatrix, Effe
 MAX_CHUNK = 256
 MAX_ITERS = 500  # sweeps a restart may take before it stops unconverged
 # The retire rule of a run with a stop_at (_Engine.run): the value is extrapolated
-# RETIRE_GAIN sweeps at its last gain, and must stay low for RETIRE_SWEEPS sweeps.
+# by RETIRE_SAFETY times the geometric tail of its gains, at most RETIRE_GAIN
+# sweeps at its last gain, and must stay low for RETIRE_SWEEPS sweeps.
 RETIRE_GAIN = 1000
+RETIRE_SAFETY = 10
 RETIRE_SWEEPS = 3
 
 
@@ -47,6 +49,7 @@ class SeesawResult:
     restart_index: int
     converged: bool
     retired: int = 0  # restarts the retire rule stopped, of those that count
+    sweeps: int = 0  # sweeps summed over the restarts that count
 
 
 def _project(ops: np.ndarray) -> np.ndarray:
@@ -56,6 +59,18 @@ def _project(ops: np.ndarray) -> np.ndarray:
     evals, evecs = np.linalg.eigh((ops + ops.conj().swapaxes(-1, -2)) / 2)
     evecs = evecs * (evals > EIG_CUTOFF)[..., None, :]
     return evecs @ evecs.conj().swapaxes(-1, -2)
+
+
+def _tail_sweeps(gain, prev):
+    """Sweeps of its last ``gain`` by which a restart's value is extrapolated:
+    RETIRE_SAFETY times the rest of a geometric tail, q / (1 - q) with q =
+    gain / prev (Aitken's delta-squared), at most RETIRE_GAIN.  RETIRE_GAIN
+    where q is undefined or outside [0, 1): on the first sweep (``prev`` NaN),
+    after a zero gain, and for growing gains or a change of sign."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.divide(gain, prev)
+        tail = np.minimum(RETIRE_GAIN, RETIRE_SAFETY * q / (1 - q))
+    return np.where((q >= 0) & (q < 1), tail, RETIRE_GAIN)
 
 
 class _Engine:
@@ -99,22 +114,25 @@ class _Engine:
         """Alternate full A/B sweeps on (R, m, d, d) stacks until each
         restart's improvement drops below SEESAW_TOL, for at most MAX_ITERS
         sweeps.  With ``stop_at``, a restart also retires, unconverged, once
-        ``new + RETIRE_GAIN * (new - old) < stop_at - RETIRE_MARGIN`` has held
-        for RETIRE_SWEEPS sweeps in a row, ``old`` and ``new`` being its
-        values before and after a sweep.  Live restarts form a compacted
-        stack; a finished one leaves it and is written back to es and fs in
-        place.  Returns (es, fs, values, iters, converged, retired)."""
+        ``new + _tail_sweeps(gain, prev) * gain < stop_at - RETIRE_MARGIN``
+        has held for RETIRE_SWEEPS sweeps in a row, ``gain = new - old`` being
+        its rise in value over a sweep and ``prev`` its rise over the sweep
+        before.  Live restarts form a compacted stack; a finished one leaves
+        it and is written back to es and fs in place.  Returns (es, fs,
+        values, iters, converged, retired)."""
         values = self.objective(es, fs)
         iters = np.full(len(values), MAX_ITERS)
         converged, retired = np.zeros(len(values), dtype=bool), np.zeros(len(values), dtype=bool)
         floor = -np.inf if stop_at is None else stop_at - RETIRE_MARGIN
         live, f, old, streak = np.arange(len(values)), fs, values, np.zeros(len(values), dtype=int)
+        prev = np.full(len(values), np.nan)  # each live restart's gain over the sweep before
         for it in range(1, MAX_ITERS + 1):
             e = _project(self.operators(PARTY_A, f))
             f = _project(hs := self.operators(PARTY_B, e))
             new = self.objective(e, f, hs)
-            done = new - old < SEESAW_TOL
-            streak = np.where(new + RETIRE_GAIN * (new - old) < floor, streak + 1, 0)
+            gain = new - old
+            done = gain < SEESAW_TOL
+            streak = np.where(new + _tail_sweeps(gain, prev) * gain < floor, streak + 1, 0)
             leave = done | (streak >= RETIRE_SWEEPS)
             if leave.any():
                 rows, keep = live[leave], ~leave
@@ -122,9 +140,10 @@ class _Engine:
                 values[rows] = np.maximum(old[leave], new[leave])
                 converged[rows], retired[rows] = done[leave], ~done[leave]
                 live, e, f, new, streak = live[keep], e[keep], f[keep], new[keep], streak[keep]
+                gain = gain[keep]
                 if not live.size:
                     break
-            old = new
+            old, prev = new, gain
         else:
             es[live], fs[live], values[live] = e, f, old
         return es, fs, values, iters, converged, retired
@@ -237,15 +256,19 @@ def multi_restart_max(ineq: BellInequality, rho: DensityMatrix, cfg: SeesawConfi
     With ``stop_at``, restarts are abandoned (in index order) once the best
     violation exceeds it -- the best-so-far is still an exact see-saw local
     optimum, just not the best of all ``cfg.restarts`` -- and the kernel's
-    retire rule (``_Engine.run``) stops a restart headed below it, so a probe
-    decides by sign; ``retired`` counts those among the restarts that count.
+    retire rule (``_Engine.run``) stops a restart whose extrapolated geometric
+    tail stays below it, so a probe decides by sign.  Stopping a restart that
+    would have climbed above it can change the witness, never the validity
+    of the result.  ``retired`` counts the stopped restarts among those that
+    count, and ``sweeps`` sums the sweeps of the restarts that count.
     Without ``stop_at``, every restart runs to convergence."""
     if warm_start is not None:
         init_a, init_b = warm_start
         check_measurements(rho.d, {PARTY_A: init_a, PARTY_B: init_b}, ineq)
     eng = _Engine(ineq, rho)
     best = None  # (violation, index, es, fs, iters, converged)
-    lo, retired, block = 0, 0, range(0)  # block: the restarts whose seed words are at hand
+    lo, retired, sweeps = 0, 0, 0
+    block = range(0)  # the restarts whose seed words are at hand
     while lo < cfg.restarts:
         chunk = range(lo, min(4 * lo + 1, lo + MAX_CHUNK, cfg.restarts))
         if lo == 0 and warm_start is not None:
@@ -260,6 +283,7 @@ def multi_restart_max(ineq: BellInequality, rho: DensityMatrix, cfg: SeesawConfi
         if stop_at is not None and (values > stop_at).any():  # nothing after the first hit counts
             values = values[:np.argmax(values > stop_at) + 1]
         retired += int(gone[:len(values)].sum())
+        sweeps += int(iters[:len(values)].sum())
         k = int(np.argmax(values))
         if best is None or values[k] > best[0]:
             best = (float(values[k]), lo + k, es[k], fs[k], int(iters[k]), bool(converged[k]))
@@ -269,4 +293,4 @@ def multi_restart_max(ineq: BellInequality, rho: DensityMatrix, cfg: SeesawConfi
 
     value, index, es, fs, iters, converged = best
     return SeesawResult(value, _package(PARTY_A, es), _package(PARTY_B, fs),
-                        iters, index, converged, retired)
+                        iters, index, converged, retired, sweeps)

@@ -7,8 +7,9 @@ import pytest
 
 import bellscope as bs
 from bellscope.quantum import SIGNIFICANCE, Effect, MeasurementSet, random_projective_measurement
-from bellscope.seesaw import (MASK32, SeesawConfig, _Engine, _seed_words, _starts, _Words,
-                              multi_restart_max, optimize_party, seesaw)
+from bellscope.seesaw import (MASK32, RETIRE_GAIN, RETIRE_SAFETY, SeesawConfig, _Engine,
+                              _seed_words, _starts, _tail_sweeps, _Words, multi_restart_max,
+                              optimize_party, seesaw)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -207,6 +208,43 @@ def test_results_do_not_depend_on_chunk_size(by_name, name, d, alpha):
         for size in (1, 7):
             for got, want in zip(run(size, stop_at), whole):
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("gain, prev, want", [  # want: sweeps of the last gain to add
+    (0.5, np.nan, RETIRE_GAIN),  # the first sweep: no previous gain
+    (0.0, 1.0, 0.0),  # q = 0
+    (0.5, 1.0, RETIRE_SAFETY),  # q = 1/2: a tail of one more gain
+    (0.75, 1.0, 3 * RETIRE_SAFETY),
+    (-0.5, -1.0, RETIRE_SAFETY),  # q is a ratio: two falls that halve
+    (1 - 1e-6, 1.0, RETIRE_GAIN),  # q just below 1: capped
+    (1.0, 1.0, RETIRE_GAIN),  # q >= 1: the gain does not shrink
+    (2.0, 1.0, RETIRE_GAIN),
+    (-0.5, 1.0, RETIRE_GAIN),  # q < 0: the sign changed
+    (0.5, -1.0, RETIRE_GAIN),
+    (0.5, 0.0, RETIRE_GAIN),  # a previous gain of 0: q infinite or undefined
+    (-0.5, 0.0, RETIRE_GAIN),
+    (0.0, 0.0, RETIRE_GAIN),
+])
+def test_tail_sweeps(gain, prev, want):
+    with np.errstate(all="raise"):  # a zero or NaN previous gain is no error
+        assert _tail_sweeps(gain, prev) == want
+
+
+@pytest.mark.parametrize("stop_at", [None, SIGNIFICANCE, 1.0])
+def test_sweeps_count_the_restarts_that_count(by_name, stop_at):
+    """``sweeps`` and ``retired`` sum over the same restarts: with a stop_at,
+    those up to the first that exceeds it (restart 26 of 60 here, inside the
+    chunk of restarts 21..59); otherwise all of them."""
+    ineq, rho = by_name("A27"), bs.isotropic_state(3, 0.746)
+    res = multi_restart_max(ineq, rho, SeesawConfig(restarts=60, base_seed=3),
+                            stop_at=stop_at, step_key=(1,))
+    ops = _starts(3, ineq.m_a + ineq.m_b, _seed_words(3, (1,), range(60)))
+    _, _, values, iters, _, retired = _Engine(ineq, rho).run(ops[:, :ineq.m_a],
+                                                             ops[:, ineq.m_a:], stop_at)
+    count = 27 if stop_at == SIGNIFICANCE else 60
+    assert res.restart_index == (26 if stop_at == SIGNIFICANCE else int(np.argmax(values)))
+    assert res.sweeps == iters[:count].sum() and res.retired == retired[:count].sum()
+    assert (res.retired > 0) == (stop_at is not None)
 
 
 def test_chsh_just_above_threshold_is_detected(chsh):

@@ -18,11 +18,12 @@ def quick_cfg(restarts=40, tol=5e-4, seed=0, **kw):
 
 
 @pytest.mark.parametrize("name, d, tol, seed", [
-    ("A2_CHSH", 2, 5e-5, 101), ("A3_I3322", 3, 1e-4, 203), ("A8", 3, 1e-4, 206)])
+    ("A2_CHSH", 2, 5e-5, 101), ("A3_I3322", 3, 1e-4, 203), ("A8", 3, 1e-4, 206),
+    ("A27", 3, 1e-6, 0)])
 def test_retire_rule_changes_no_search(by_name, monkeypatch, name, d, tol, seed):
-    """Criterion 3's searches give the same estimate and witness with the
-    see-saw's retire rule switched off (it needs more sweeps in a row than
-    a restart may take)."""
+    """Criterion 3's searches, and the headline A27 d=3 search at tol 1e-6,
+    give the same estimate and witness with the see-saw's retire rule
+    switched off (it needs more sweeps in a row than a restart may take)."""
     ineq, cfg = by_name(name), quick_cfg(restarts=200, tol=tol, seed=seed)
     probes = []
 
@@ -45,6 +46,24 @@ def test_retire_rule_changes_no_search(by_name, monkeypatch, name, d, tol, seed)
     assert [getattr(on, f) for f in fields] == [getattr(off, f) for f in fields]
     witness = ("best_violation", "restart_index", "iters_used")
     assert [getattr(on.witness, f) for f in witness] == [getattr(off.witness, f) for f in witness]
+
+
+def test_tail_rule_cuts_last_probe_sweeps(by_name, monkeypatch):
+    """Criterion 3's I3322 d=3 search ends in a probe where all 200 restarts
+    run.  Retiring them by their geometric tail takes it below 850
+    restart-sweeps (765); extrapolating each last gain RETIRE_GAIN sweeps
+    ahead took 1,167, and a RETIRE_SAFETY of 100 takes 875."""
+    probes = []
+
+    def recorded(*args, **kwargs):
+        probes.append(bs.multi_restart_max(*args, **kwargs))
+        return probes[-1]
+
+    monkeypatch.setattr(threshold_mod, "multi_restart_max", recorded)
+    est = alpha_max(by_name("A3_I3322"), 3, quick_cfg(restarts=200, tol=1e-4, seed=203))
+    last = probes[-1]
+    assert est.steps == len(probes) and last.best_violation <= SIGNIFICANCE
+    assert 200 <= last.sweeps < 850 and last.retired > 0
 
 
 def test_chsh_d2_threshold(chsh):
